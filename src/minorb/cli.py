@@ -27,9 +27,8 @@ from .rootsys import (
     inverse_cartan,
     parse_type,
     positive_roots,
+    table_types,
 )
-
-EXCEPTIONAL = ("E6", "E7", "E8", "F4", "G2")
 
 
 def _typ(args) -> SimpleType:
@@ -288,14 +287,12 @@ def _cmd_invariants(args):
     return str(typ), payload, "\n".join(lines)
 
 
-def _table_types(max_rank: int):
-    types = [SimpleType("A", n) for n in range(1, max_rank + 1)]
-    types += [SimpleType("B", n) for n in range(2, max_rank + 1)]
-    types += [SimpleType("C", n) for n in range(3, max_rank + 1)]
-    types += [SimpleType("D", n) for n in range(4, max_rank + 1)]
-    types += [parse_type(name) for name in EXCEPTIONAL]
-    return types
-
+_TABLE_HEADERS = {
+    2: "type\tdim\tm\td\tr\tH",
+    3: "type\tm\tp\tnodes\tdims",
+    4: "type\tr\tH\tdim H",
+    5: "type\td\twitness\tdim H",
+}
 
 _TABLE_NOTES = {
     2: [
@@ -321,7 +318,7 @@ def _cmd_table(args):
     if args.max_rank < 1:
         raise ValueError("--max-rank must be a positive integer")
     rows = []
-    for typ in _table_types(args.max_rank):
+    for typ in table_types(args.max_rank):
         if args.number == 2:
             m = compute_m(typ)
             r = compute_r(typ)
@@ -371,30 +368,11 @@ def _cmd_table(args):
                     "dim_h": d.witness.dim_h,
                 }
             )
-    header = {
-        2: "type\tdim\tm\td\tr\tH",
-        3: "type\tm\tp\tnodes\tdims",
-        4: "type\tr\tH\tdim H",
-        5: "type\td\twitness\tdim H",
-    }[args.number]
-    lines = [header]
-    for row in rows:
-        if args.number == 2:
-            lines.append(
-                f"{row['type']}\t{row['dim']}\t{row['m']}\t{row['d']}"
-                f"\t{row['r']}\t{row['h']}"
-            )
-        elif args.number == 3:
-            lines.append(
-                f"{row['type']}\t{row['m']}\t{row['p']}"
-                f"\t{_fmt_nodes(row['nodes'])}\t{_fmt_nodes(row['dims'])}"
-            )
-        elif args.number == 4:
-            lines.append(f"{row['type']}\t{row['r']}\t{row['h']}\t{row['dim_h']}")
-        else:
-            lines.append(
-                f"{row['type']}\t{row['d']}\t{row['witness']}\t{row['dim_h']}"
-            )
+    lines = [_TABLE_HEADERS[args.number]]
+    lines.extend(
+        "\t".join(_fmt_nodes(v) if isinstance(v, list) else str(v) for v in row.values())
+        for row in rows
+    )
     notes = _TABLE_NOTES[args.number]
     lines.extend(notes)
     payload = {

@@ -21,6 +21,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, permutations
 from math import gcd, lcm
 from typing import Iterable
 
@@ -28,6 +29,14 @@ Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]
 
 _RANK_MIN = {"A": 1, "B": 2, "C": 2, "D": 3}
+_EXCEPTIONAL_RANKS = {"E": (6, 7, 8), "F": (4,), "G": (2,)}
+
+
+def _is_type(family: str, rank: int) -> bool:
+    """Whether a family letter and rank name a simple type (C2 and D3 included)."""
+    if family in _RANK_MIN:
+        return rank >= _RANK_MIN[family]
+    return rank in _EXCEPTIONAL_RANKS.get(family, ())
 
 
 @dataclass(frozen=True)
@@ -38,16 +47,9 @@ class SimpleType:
     rank: int
 
     def __post_init__(self) -> None:
-        if self.family not in ("A", "B", "C", "D", "E", "F", "G"):
+        if self.family not in _RANK_MIN and self.family not in _EXCEPTIONAL_RANKS:
             raise ValueError(f"unknown family {self.family!r}")
-        ok = (
-            self.rank >= _RANK_MIN[self.family]
-            if self.family in _RANK_MIN
-            else (self.family == "E" and self.rank in (6, 7, 8))
-            or (self.family == "F" and self.rank == 4)
-            or (self.family == "G" and self.rank == 2)
-        )
-        if not ok:
+        if not _is_type(self.family, self.rank):
             raise ValueError(f"invalid rank {self.rank} for family {self.family}")
 
     def __str__(self) -> str:
@@ -69,6 +71,14 @@ def parse_type(text: str) -> SimpleType:
     if m is None:
         raise ValueError(f"cannot parse simple type {text!r}")
     return canonicalize(SimpleType(m.group(1).upper(), int(m.group(2))))
+
+
+def table_types(max_rank: int) -> list[SimpleType]:
+    """The rows of the summary tables: canonical classical types up to max_rank,
+    then every exceptional type."""
+    classical = (SimpleType(f, n) for f, low in _RANK_MIN.items() for n in range(low, max_rank + 1))
+    exceptional = (SimpleType(f, n) for f, ranks in _EXCEPTIONAL_RANKS.items() for n in ranks)
+    return [t for t in chain(classical, exceptional) if canonicalize(t) == t]
 
 
 @lru_cache(maxsize=None)
@@ -233,7 +243,10 @@ class Component:
     ``nodes[k]`` is the original node sitting at Bourbaki position ``k + 1``
     of ``typ``.  Among all structure-preserving identifications the one with
     the lexicographically largest ``nodes`` tuple is chosen, so relabelings
-    are deterministic even when the component has diagram symmetries.
+    are deterministic even when the component has diagram symmetries.  The
+    candidates are walks read from the diagram's ends (both directions of a
+    chain, every ordering of a fork's arms); each identification is one of
+    them, because a diagram automorphism can only permute ends and arms.
     """
 
     typ: SimpleType
@@ -256,135 +269,45 @@ def subdiagram_components(typ: SimpleType, kept: Iterable[int]) -> tuple[Compone
     if any(i < 1 or i > n for i in nodes):
         raise ValueError(f"node out of range for {typ}")
     a = cartan_matrix(typ)
-    keep = set(nodes)
+    adj = {u: [v for v in nodes if v != u and a[u - 1][v - 1]] for u in nodes}
     out = []
     seen: set[int] = set()
     for start in nodes:
         if start in seen:
             continue
-        comp = _closure(start, keep, a)
-        seen |= comp
-        members = tuple(sorted(comp))
-        ctyp = _identify_component(members, a)
-        out.append(Component(ctyp, _relabel(members, a, ctyp)))
+        comp = [start]
+        for u in comp:
+            comp += [v for v in adj[u] if v not in comp]
+        seen.update(comp)
+        out.append(_identify(comp, adj, a))
     return tuple(out)
 
 
-def _closure(start: int, keep: set[int], a: Matrix) -> set[int]:
-    comp = {start}
-    queue = [start]
-    while queue:
-        u = queue.pop()
-        for v in keep:
-            if v not in comp and a[u - 1][v - 1] != 0:
-                comp.add(v)
-                queue.append(v)
-    return comp
-
-
-def _neighbors(u: int, members: tuple[int, ...], a: Matrix) -> list[int]:
-    return [v for v in members if v != u and a[u - 1][v - 1] != 0]
-
-
-def _chain_from(u: int, banned: set[int], members: tuple[int, ...], a: Matrix) -> list[int]:
-    """Walk a simple chain starting at u, never entering banned nodes."""
-    path = [u]
-    prev = None
-    while True:
-        nxt = [v for v in _neighbors(path[-1], members, a) if v != prev and v not in banned]
-        if not nxt:
-            return path
-        assert len(nxt) == 1, "not a chain"
-        prev = path[-1]
-        path.append(nxt[0])
-
-
-def _identify_component(members: tuple[int, ...], a: Matrix) -> SimpleType:
-    k = len(members)
-    if k == 1:
-        return SimpleType("A", 1)
-    deg = {u: len(_neighbors(u, members, a)) for u in members}
-    multi = [
-        (u, v)
-        for u in members
-        for v in members
-        if u < v and a[u - 1][v - 1] * a[v - 1][u - 1] > 1
-    ]
-    if multi:
-        if len(multi) > 1 or max(deg.values()) > 2:
-            raise RuntimeError("not a Dynkin diagram component")
-        u, v = multi[0]
-        if a[u - 1][v - 1] * a[v - 1][u - 1] == 3:
-            assert k == 2
-            return SimpleType("G", 2)
-        if a[u - 1][v - 1] != -2:  # want alpha_v short, alpha_u long
-            u, v = v, u
-        short = len(_chain_from(v, {u}, members, a))
-        long = k - short
-        if short == 1 and long == 1:
-            return SimpleType("B", 2)
-        if short == 1:
-            return SimpleType("B", k)
-        if long == 1:
-            return SimpleType("C", k)
-        if short == 2 and long == 2:
-            return SimpleType("F", 4)
-        raise RuntimeError("not a Dynkin diagram component")
-    forks = [u for u in members if deg[u] == 3]
-    if not forks:
-        if max(deg.values()) > 2:
-            raise RuntimeError("not a Dynkin diagram component")
-        return SimpleType("A", k)
-    if len(forks) > 1 or max(deg.values()) > 3:
-        raise RuntimeError("not a Dynkin diagram component")
-    center = forks[0]
-    arms = sorted(
-        len(_chain_from(v, {center}, members, a)) for v in _neighbors(center, members, a)
-    )
-    if arms[:2] == [1, 1]:
-        return SimpleType("D", k)
-    if arms == [1, 2, 2]:
-        return SimpleType("E", 6)
-    if arms == [1, 2, 3]:
-        return SimpleType("E", 7)
-    if arms == [1, 2, 4]:
-        return SimpleType("E", 8)
+def _identify(comp: list[int], adj: dict[int, list[int]], a: Matrix) -> Component:
+    """Name a component by its shape and pick its largest Bourbaki labeling."""
+    k = len(comp)
+    center = next((u for u in comp if len(adj[u]) == 3), None)
+    if center is None:
+        line = _arm(next(u for u in comp if len(adj[u]) <= 1), None, adj)
+        walks, shapes = [line, line[::-1]], "ABCFG"
+    else:
+        walks, shapes = [], "DE"
+        for x, y, z in permutations(_arm(v, center, adj) for v in adj[center]):
+            walks.append(x[::-1] + [center] + y + z)
+            if len(x) == 2 and len(y) == 1:
+                walks.append([x[1], y[0], x[0], center] + z)
+    induced = {tuple(w): tuple(tuple(a[u - 1][v - 1] for v in w) for u in w) for w in walks}
+    for ctyp in {canonicalize(SimpleType(f, k)) for f in shapes if _is_type(f, k)}:
+        fits = [w for w, entries in induced.items() if entries == cartan_matrix(ctyp)]
+        if fits:
+            return Component(ctyp, max(fits))
     raise RuntimeError("not a Dynkin diagram component")
 
 
-def _relabel(members: tuple[int, ...], a: Matrix, ctyp: SimpleType) -> Vector:
-    """Lexicographically largest image tuple among all valid identifications."""
-    k = ctyp.rank
-    ca = cartan_matrix(ctyp)
-    # breadth-first order over canonical positions: after the first position,
-    # every new one has an already-placed neighbor, which prunes hard
-    order = [1]
-    for p in order:
-        for q in range(1, k + 1):
-            if q not in order and ca[p - 1][q - 1] != 0:
-                order.append(q)
-    assert len(order) == k
-    images: list[Vector] = []
-    assignment: dict[int, int] = {}
-
-    def extend(step: int) -> None:
-        if step == k:
-            images.append(tuple(assignment[p] for p in range(1, k + 1)))
-            return
-        p = order[step]
-        for cand in members:
-            if cand in assignment.values():
-                continue
-            if all(
-                ca[p - 1][q - 1] == a[cand - 1][node - 1]
-                and ca[q - 1][p - 1] == a[node - 1][cand - 1]
-                for q, node in assignment.items()
-            ):
-                assignment[p] = cand
-                extend(step + 1)
-                del assignment[p]
-
-    extend(0)
-    if not images:
-        raise RuntimeError("component does not match its identified type")
-    return max(images)
+def _arm(start: int, prev: int | None, adj: dict[int, list[int]]) -> list[int]:
+    """The nodes met walking from start away from prev until the chain ends."""
+    path = [start]
+    while nxt := [v for v in adj[path[-1]] if v != prev]:
+        prev = path[-1]
+        path.append(nxt[0])
+    return path

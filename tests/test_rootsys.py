@@ -6,6 +6,7 @@ dimensions, a local fraction-free inversion, and hand-enumerated small systems.
 """
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -21,6 +22,7 @@ from minorb import (
     root_to_weight,
     subdiagram_components,
     symmetrizers,
+    table_types,
 )
 from util import ALL_TYPES, MID_TYPES, dim_closed_form
 
@@ -358,15 +360,37 @@ def test_single_node_levi_shapes(typ, node):
 
 @pytest.mark.parametrize("typ", MID_TYPES, ids=str)
 def test_component_relabeling_is_an_isomorphism(typ):
-    """Every relabeling must carry the canonical Cartan entries onto the original ones."""
+    """On every node subset, the components partition the kept nodes, carry a canonical
+    type, and carry its Cartan entries onto the original ones; up to rank 5, brute force
+    over all permutations confirms that ``nodes`` is the largest such labeling."""
     a = cartan_matrix(typ)
-    for node in range(1, typ.rank + 1):
-        kept = [i for i in range(1, typ.rank + 1) if i != node]
-        for comp in subdiagram_components(typ, kept):
+    checked = set()
+    for mask in range(1 << typ.rank):
+        kept = [i for i in range(1, typ.rank + 1) if mask >> (i - 1) & 1]
+        comps = subdiagram_components(typ, kept)
+        assert sorted(i for c in comps for i in c.nodes) == kept
+        for comp in comps:
+            if comp.nodes in checked:
+                continue
+            checked.add(comp.nodes)
+            assert canonicalize(comp.typ) == comp.typ
             ca = cartan_matrix(comp.typ)
             k = comp.typ.rank
-            assert sorted(comp.nodes) == sorted(set(comp.nodes))
-            for p in range(k):
-                for q in range(k):
-                    if p != q:
-                        assert ca[p][q] == a[comp.nodes[p] - 1][comp.nodes[q] - 1]
+
+            def fits(nodes):
+                return all(
+                    ca[p][q] == a[nodes[p] - 1][nodes[q] - 1] for p in range(k) for q in range(k)
+                )
+
+            assert fits(comp.nodes)
+            if k <= 5:
+                assert comp.nodes == max(filter(fits, permutations(comp.nodes)))
+
+
+def test_table_types_inventory():
+    names = [str(t) for t in table_types(4)]
+    assert names == [
+        "A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4",
+        "E6", "E7", "E8", "F4", "G2",
+    ]
+    assert len(table_types(12)) == 47

@@ -1,26 +1,9 @@
 """Shared fixtures-by-import for the test suite: type inventories and closed forms."""
 
-from minorb import SimpleType
-
-
-def classical(max_rank: int) -> list[SimpleType]:
-    out = [SimpleType("A", n) for n in range(1, max_rank + 1)]
-    out += [SimpleType("B", n) for n in range(2, max_rank + 1)]
-    out += [SimpleType("C", n) for n in range(3, max_rank + 1)]
-    out += [SimpleType("D", n) for n in range(4, max_rank + 1)]
-    return out
-
-
-EXCEPTIONAL = [
-    SimpleType("E", 6),
-    SimpleType("E", 7),
-    SimpleType("E", 8),
-    SimpleType("F", 4),
-    SimpleType("G", 2),
-]
+from minorb import SimpleType, table_types
 
 # the table row inventory: classical families to rank 12 plus the exceptionals
-ALL_TYPES = classical(12) + EXCEPTIONAL
+ALL_TYPES = table_types(12)
 
 SMALL_TYPES = [t for t in ALL_TYPES if t.rank <= 6]
 MID_TYPES = [t for t in ALL_TYPES if t.rank <= 8]
