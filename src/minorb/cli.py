@@ -15,10 +15,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
+from dataclasses import asdict
 
 from .grading import branch_adjoint, grade_adjoint, lowest_weight_of_v_alpha
 from .invariants import compute_d, compute_m, compute_r, full_report
-from .parabolic import closure_is_smooth, levi_data, orbit_type, parabolic_of_weight
+from .parabolic import (
+    closure_is_smooth,
+    dim_min_orbit,
+    levi_data,
+    orbit_type,
+    parabolic_of_weight,
+)
 from .repdim import dim_irrep, dual_weight
 from .rootsys import (
     SimpleType,
@@ -31,9 +39,9 @@ from .rootsys import (
 )
 
 
-def _typ(args) -> SimpleType:
-    typ = parse_type(args.type)
-    raw = args.type.strip().upper()
+def _typ(text: str) -> SimpleType:
+    typ = parse_type(text)
+    raw = text.strip().upper()
     if raw != str(typ):
         print(f"note: {raw} taken in canonical form {typ}", file=sys.stderr)
     return typ
@@ -65,226 +73,180 @@ def _fmt_nodes(nodes) -> str:
     return ",".join(str(i) for i in nodes) if nodes else "-"
 
 
-def _component_str(comp) -> str:
-    return f"{comp.typ}({','.join(str(i) for i in comp.nodes)})"
+def _components(comps) -> tuple[list[dict], list[str]]:
+    """Payload entries of Levi components and their text, such as E6(6,2,5,4,3,1)."""
+    entries = [{"type": str(c.typ), "nodes": c.nodes} for c in comps]
+    return entries, [f"{e['type']}({_fmt_nodes(e['nodes'])})" for e in entries]
 
 
-def _cmd_cartan(args):
-    typ = _typ(args)
+def _cmd_cartan(typ, args):
     a = cartan_matrix(typ)
-    return str(typ), {"matrix": [list(r) for r in a]}, _fmt_matrix(a)
+    return {"matrix": a}, _fmt_matrix(a)
 
 
-def _cmd_icartan(args):
-    typ = _typ(args)
+def _cmd_icartan(typ, args):
     scaled, det = inverse_cartan(typ)
-    payload = {"det": det, "det_times_inverse": [list(r) for r in scaled]}
-    return str(typ), payload, f"det {det}\n" + _fmt_matrix(scaled)
+    text = f"det {det}\n" + _fmt_matrix(scaled)
+    return {"det": det, "det_times_inverse": scaled}, text
 
 
-def _cmd_roots(args):
-    typ = _typ(args)
+def _cmd_roots(typ, args):
     pos = positive_roots(typ)
-    payload = {"count": len(pos), "roots": [list(r) for r in pos]}
-    return str(typ), payload, "\n".join(" ".join(map(str, r)) for r in pos)
+    text = "\n".join(" ".join(map(str, r)) for r in pos)
+    return {"count": len(pos), "roots": pos}, text
 
 
-def _cmd_dim(args):
-    typ = _typ(args)
+def _cmd_dim(typ, args):
     w = _ints(args.weight, "weight")
     value = dim_irrep(typ, w)
-    return str(typ), {"weight": list(w), "dim": value}, str(value)
+    return {"weight": w, "dim": value}, str(value)
 
 
-def _cmd_dual(args):
-    typ = _typ(args)
+def _cmd_dual(typ, args):
     w = _ints(args.weight, "weight")
     dual = dual_weight(typ, w)
-    payload = {"weight": list(w), "dual": list(dual)}
-    return str(typ), payload, ",".join(str(c) for c in dual)
+    return {"weight": w, "dual": dual}, ",".join(str(c) for c in dual)
 
 
-def _cmd_levi(args):
-    typ = _typ(args)
+def _cmd_levi(typ, args):
     data = levi_data(typ, _ints(args.nodes, "node set"))
-    lines = [
-        f"{typ} remove {_fmt_nodes(data.removed)}",
-        f"kept: {_fmt_nodes(data.kept)}",
-    ]
-    lines.extend(f"component: {_component_str(c)}" for c in data.components)
-    lines += [
-        f"dim levi ss: {data.dim_levi_ss}",
-        f"dim levi: {data.dim_levi}",
-        f"dim u: {data.dim_u}",
-        f"dim parabolic: {data.dim_parabolic}",
-    ]
+    entries, names = _components(data.components)
     payload = {
-        "removed": list(data.removed),
-        "kept": list(data.kept),
-        "components": [
-            {"type": str(c.typ), "nodes": list(c.nodes)} for c in data.components
-        ],
+        "removed": data.removed,
+        "kept": data.kept,
+        "components": entries,
         "dim_levi_ss": data.dim_levi_ss,
         "dim_levi": data.dim_levi,
         "dim_u": data.dim_u,
         "dim_parabolic": data.dim_parabolic,
     }
-    return str(typ), payload, "\n".join(lines)
+    lines = [
+        f"{typ} remove {_fmt_nodes(data.removed)}",
+        f"kept: {_fmt_nodes(data.kept)}",
+    ]
+    lines += [f"component: {name}" for name in names]
+    lines += [
+        f"{key.replace('_', ' ')}: {payload[key]}"
+        for key in ("dim_levi_ss", "dim_levi", "dim_u", "dim_parabolic")
+    ]
+    return payload, "\n".join(lines)
 
 
-def _cmd_grade(args):
-    typ = _typ(args)
+def _cmd_grade(typ, args):
     rep = grade_adjoint(typ, args.node)
+    key, value, dims = "max_grade", rep.max_grade, rep.dims
     if args.mod is not None:
         if args.mod < 1:
             raise ValueError("--mod must be a positive integer")
-        agg: dict[int, int] = {}
+        folded = Counter()
         for g, d in rep.dims.items():
-            agg[g % args.mod] = agg.get(g % args.mod, 0) + d
-        pairs = sorted(agg.items())
-        head = f"{typ} node {args.node} mod {args.mod}"
-        payload = {"node": args.node, "mod": args.mod, "dims": [list(p) for p in pairs]}
-    else:
-        pairs = sorted(rep.dims.items())
-        head = f"{typ} node {args.node} max_grade {rep.max_grade}"
-        payload = {
-            "node": args.node,
-            "max_grade": rep.max_grade,
-            "dims": [list(p) for p in pairs],
-        }
-    text = "\n".join([head] + [f"{g}\t{d}" for g, d in pairs])
-    return str(typ), payload, text
+            folded[g % args.mod] += d
+        key, value, dims = "mod", args.mod, folded
+    pairs = sorted(dims.items())
+    lines = [f"{typ} node {args.node} {key} {value}"] + [f"{g}\t{d}" for g, d in pairs]
+    return {"node": args.node, key: value, "dims": pairs}, "\n".join(lines)
 
 
-def _cmd_branch(args):
-    typ = _typ(args)
+def _cmd_branch(typ, args):
     rep = branch_adjoint(typ, args.node)
+    grades = [
+        {"grade": k, "summands": [asdict(s) for s in rep.grades[k]]}
+        for k in sorted(rep.grades)
+    ]
     lines = [f"{typ} node {args.node} max_grade {rep.max_grade}"]
-    grades = []
-    for k in sorted(rep.grades):
-        summands = []
-        for s in rep.grades[k]:
-            row = f"{k}\t{_fmt_weights(s.weights)}\t{s.dim}"
-            if s.torus:
-                row += "\ttorus"
-            lines.append(row)
-            summands.append(
-                {
-                    "weights": [list(w) for w in s.weights],
-                    "dim": s.dim,
-                    "torus": s.torus,
-                }
-            )
-        grades.append({"grade": k, "summands": summands})
+    lines += [
+        f"{g['grade']}\t{_fmt_weights(s['weights'])}\t{s['dim']}"
+        + ("\ttorus" if s["torus"] else "")
+        for g in grades
+        for s in g["summands"]
+    ]
     payload = {"node": args.node, "max_grade": rep.max_grade, "grades": grades}
-    return str(typ), payload, "\n".join(lines)
+    return payload, "\n".join(lines)
 
 
-def _cmd_valpha(args):
-    typ = _typ(args)
+def _cmd_valpha(typ, args):
     data = lowest_weight_of_v_alpha(typ, args.node)
-    levi = " ".join(_component_str(c) for c in data.levi.components) or "-"
+    entries, names = _components(data.levi.components)
+    payload = {
+        "node": args.node,
+        "levi": entries,
+        "lowest": data.lowest,
+        "highest": data.highest,
+        "dim": data.dim,
+    }
     lines = [
         f"{typ} node {args.node}",
-        f"levi: {levi}",
+        f"levi: {' '.join(names) or '-'}",
         f"lowest: {_fmt_weights(data.lowest)}",
         f"highest: {_fmt_weights(data.highest)}",
         f"dim: {data.dim}",
     ]
-    payload = {
-        "node": args.node,
-        "levi": [
-            {"type": str(c.typ), "nodes": list(c.nodes)}
-            for c in data.levi.components
-        ],
-        "lowest": [list(w) for w in data.lowest],
-        "highest": [list(w) for w in data.highest],
-        "dim": data.dim,
-    }
-    return str(typ), payload, "\n".join(lines)
+    return payload, "\n".join(lines)
 
 
-def _cmd_minorbit(args):
-    typ = _typ(args)
+def _cmd_minorbit(typ, args):
     w = _ints(args.weight, "weight")
-    para = parabolic_of_weight(typ, w)
     primitive, multiplier = orbit_type(typ, w)
-    dim_orbit = para.dim_u + 1
-    dim_module = dim_irrep(typ, w)
-    smooth = closure_is_smooth(typ, w)
+    payload = {
+        "weight": w,
+        "primitive": primitive,
+        "multiplier": multiplier,
+        "removed": parabolic_of_weight(typ, w).removed,
+        "dim_orbit": dim_min_orbit(typ, w),
+        "dim_module": dim_irrep(typ, w),
+        "smooth": closure_is_smooth(typ, w),
+    }
     lines = [
         f"{typ} weight {_fmt_weight(w)}",
         f"primitive: {_fmt_weight(primitive)}",
         f"multiplier: {multiplier}",
-        f"removed: {_fmt_nodes(para.removed)}",
-        f"dim orbit: {dim_orbit}",
-        f"dim module: {dim_module}",
-        f"smooth: {'yes' if smooth else 'no'}",
+        f"removed: {_fmt_nodes(payload['removed'])}",
+        f"dim orbit: {payload['dim_orbit']}",
+        f"dim module: {payload['dim_module']}",
+        f"smooth: {'yes' if payload['smooth'] else 'no'}",
     ]
-    payload = {
-        "weight": list(w),
-        "primitive": list(primitive),
-        "multiplier": multiplier,
-        "removed": list(para.removed),
-        "dim_orbit": dim_orbit,
-        "dim_module": dim_module,
-        "smooth": smooth,
-    }
-    return str(typ), payload, "\n".join(lines)
+    return payload, "\n".join(lines)
 
 
-def _cmd_invariants(args):
-    typ = _typ(args)
+def _cmd_invariants(typ, args):
     rep = full_report(typ)
-    lines = [
-        f"{typ} dim {rep.dim}",
-        f"m: {rep.m.m} (p {rep.m.p}, nodes {_fmt_nodes(rep.m.argmin)})",
-        f"r: {rep.r.r} (H = {rep.r.witness})",
-        f"d: {rep.d.d} (witness {rep.d.witness}, dim {rep.d.witness.dim_h})",
-        f"d = r: {'yes' if rep.d_equals_r else 'no'}",
-        "certificates:",
-    ]
-    lines.extend(
-        f"  {c.source} ({_fmt_nodes(c.nodes)}): {c.detail}"
-        for c in rep.d.certificates
-    )
-    lines.append(f"smooth fundamentals: {_fmt_nodes(rep.smooth_fundamentals)}")
-    d_witness = rep.d.witness
+    m, r, d = rep.m, rep.r, rep.d
+    d_witness = {
+        "factors": [str(f) for f in d.witness.reductive_factors],
+        "unipotent_support": d.witness.unipotent_support,
+        "dim_h": d.witness.dim_h,
+    }
     payload = {
         "dim": rep.dim,
-        "m": {"m": rep.m.m, "p": rep.m.p, "argmin": list(rep.m.argmin)},
+        "m": m._asdict(),
         "r": {
-            "r": rep.r.r,
+            "r": r.r,
             "witness": {
-                "factors": [str(f) for f in rep.r.witness.factors],
-                "dim_h": rep.r.witness.dim_h,
+                "factors": [str(f) for f in r.witness.factors],
+                "dim_h": r.witness.dim_h,
             },
         },
         "d": {
-            "d": rep.d.d,
-            "witness": {
-                "factors": [str(f) for f in d_witness.reductive_factors],
-                "unipotent_support": (
-                    None
-                    if d_witness.unipotent_support is None
-                    else list(d_witness.unipotent_support)
-                ),
-                "dim_h": d_witness.dim_h,
-            },
-            "certificates": [
-                {
-                    "source": c.source,
-                    "nodes": list(c.nodes),
-                    "value": c.value,
-                    "detail": c.detail,
-                }
-                for c in rep.d.certificates
-            ],
+            "d": d.d,
+            "witness": d_witness,
+            "certificates": [asdict(c) for c in d.certificates],
         },
         "d_equals_r": rep.d_equals_r,
-        "smooth_fundamentals": list(rep.smooth_fundamentals),
+        "smooth_fundamentals": rep.smooth_fundamentals,
     }
-    return str(typ), payload, "\n".join(lines)
+    lines = [
+        f"{typ} dim {rep.dim}",
+        f"m: {m.m} (p {m.p}, nodes {_fmt_nodes(m.argmin)})",
+        f"r: {r.r} (H = {r.witness})",
+        f"d: {d.d} (witness {d.witness}, dim {d_witness['dim_h']})",
+        f"d = r: {'yes' if rep.d_equals_r else 'no'}",
+        "certificates:",
+    ]
+    lines += [
+        f"  {c.source} ({_fmt_nodes(c.nodes)}): {c.detail}" for c in d.certificates
+    ]
+    lines.append(f"smooth fundamentals: {_fmt_nodes(rep.smooth_fundamentals)}")
+    return payload, "\n".join(lines)
 
 
 _TABLE_HEADERS = {
@@ -314,74 +276,50 @@ _TABLE_NOTES = {
 }
 
 
-def _cmd_table(args):
+def _table_row(number: int, typ: SimpleType) -> dict:
+    if number == 2:
+        r = compute_r(typ)
+        return {
+            "dim": dim_simple(typ),
+            "m": compute_m(typ).m,
+            "d": compute_d(typ).d,
+            "r": r.r,
+            "h": str(r.witness),
+        }
+    if number == 3:
+        m = compute_m(typ)
+        fundamentals = (
+            tuple(int(k == i) for k in range(1, typ.rank + 1)) for i in m.argmin
+        )
+        dims = tuple(dim_irrep(typ, w) for w in fundamentals)
+        return {"m": m.m, "p": m.p, "nodes": m.argmin, "dims": dims}
+    if number == 4:
+        r = compute_r(typ)
+        return {"r": r.r, "h": str(r.witness), "dim_h": r.witness.dim_h}
+    d = compute_d(typ)
+    return {"d": d.d, "witness": str(d.witness), "dim_h": d.witness.dim_h}
+
+
+def _cmd_table(typ, args):
     if args.max_rank < 1:
         raise ValueError("--max-rank must be a positive integer")
-    rows = []
-    for typ in table_types(args.max_rank):
-        if args.number == 2:
-            m = compute_m(typ)
-            r = compute_r(typ)
-            d = compute_d(typ)
-            rows.append(
-                {
-                    "type": str(typ),
-                    "dim": dim_simple(typ),
-                    "m": m.m,
-                    "d": d.d,
-                    "r": r.r,
-                    "h": str(r.witness),
-                }
-            )
-        elif args.number == 3:
-            m = compute_m(typ)
-            dims = [
-                dim_irrep(typ, tuple(int(k == i) for k in range(1, typ.rank + 1)))
-                for i in m.argmin
-            ]
-            rows.append(
-                {
-                    "type": str(typ),
-                    "m": m.m,
-                    "p": m.p,
-                    "nodes": list(m.argmin),
-                    "dims": dims,
-                }
-            )
-        elif args.number == 4:
-            r = compute_r(typ)
-            rows.append(
-                {
-                    "type": str(typ),
-                    "r": r.r,
-                    "h": str(r.witness),
-                    "dim_h": r.witness.dim_h,
-                }
-            )
-        else:
-            d = compute_d(typ)
-            rows.append(
-                {
-                    "type": str(typ),
-                    "d": d.d,
-                    "witness": str(d.witness),
-                    "dim_h": d.witness.dim_h,
-                }
-            )
-    lines = [_TABLE_HEADERS[args.number]]
-    lines.extend(
-        "\t".join(_fmt_nodes(v) if isinstance(v, list) else str(v) for v in row.values())
-        for row in rows
-    )
+    rows = [
+        {"type": str(t), **_table_row(args.number, t)}
+        for t in table_types(args.max_rank)
+    ]
     notes = _TABLE_NOTES[args.number]
-    lines.extend(notes)
+    lines = [_TABLE_HEADERS[args.number]]
+    lines += [
+        "\t".join(_fmt_nodes(v) if isinstance(v, tuple) else str(v) for v in r.values())
+        for r in rows
+    ]
     payload = {
         "table": args.number,
         "max_rank": args.max_rank,
         "rows": rows,
         "notes": notes,
     }
-    return None, payload, "\n".join(lines)
+    return payload, "\n".join(lines + notes)
 
 
 _HANDLERS = {
@@ -453,7 +391,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        type_label, payload, text = _HANDLERS[args.command](args)
+        typ = None if args.command == "table" else _typ(args.type)
+        payload, text = _HANDLERS[args.command](typ, args)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -461,7 +400,7 @@ def main(argv=None) -> int:
         envelope = {
             "format": "minorb/1",
             "command": args.command,
-            "type": type_label,
+            "type": None if typ is None else str(typ),
             "payload": payload,
         }
         print(json.dumps(envelope))

@@ -20,6 +20,7 @@ from .repdim import dim_irrep_product, dual_weight
 from .rootsys import (
     SimpleType,
     cartan_matrix,
+    checked_nodes,
     dim_simple,
     highest_root,
     positive_roots,
@@ -66,16 +67,9 @@ class BranchReport:
     max_grade: int
 
 
-def _checked_node(typ: SimpleType, node: int) -> int:
-    node = int(node)
-    if not 1 <= node <= typ.rank:
-        raise ValueError(f"node {node} out of range for {typ}")
-    return node
-
-
 def grade_adjoint(typ: SimpleType, node: int) -> GradingReport:
     """Dimension of each graded piece, keyed by grade (negatives included)."""
-    ix = _checked_node(typ, node) - 1
+    ix = checked_nodes(typ, [node])[0] - 1
     counts = Counter(beta[ix] for beta in positive_roots(typ))
     top = highest_root(typ)[ix]
     dims = {0: typ.rank + 2 * counts.get(0, 0)}
@@ -88,7 +82,7 @@ def grade_adjoint(typ: SimpleType, node: int) -> GradingReport:
 
 def dim_v_alpha(typ: SimpleType, node: int) -> int:
     """dim of the grade-one piece, counted directly on roots."""
-    ix = _checked_node(typ, node) - 1
+    ix = checked_nodes(typ, [node])[0] - 1
     return sum(1 for beta in positive_roots(typ) if beta[ix] == 1)
 
 
@@ -98,7 +92,7 @@ def lowest_weight_of_v_alpha(typ: SimpleType, node: int) -> VAlphaData:
     The dimension here comes from the Weyl product over the Levi, not
     from counting grade-one roots, so the two routes check each other.
     """
-    node = _checked_node(typ, node)
+    (node,) = checked_nodes(typ, [node])
     levi = levi_data(typ, [node])
     row = cartan_matrix(typ)[node - 1]
     lowest = tuple(
@@ -123,7 +117,7 @@ def branch_adjoint(typ: SimpleType, node: int) -> BranchReport:
     their highest weights are those roots restricted to the components.
     Negative grades are the duals of the positive ones and are omitted.
     """
-    node = _checked_node(typ, node)
+    (node,) = checked_nodes(typ, [node])
     levi = levi_data(typ, [node])
     comps = levi.components
     grading = grade_adjoint(typ, node)

@@ -23,6 +23,8 @@ from .repdim import Weight, dim_irrep
 from .rootsys import (
     Component,
     SimpleType,
+    checked_nodes,
+    checked_weight,
     dim_simple,
     positive_roots,
     subdiagram_components,
@@ -49,21 +51,13 @@ class LeviData:
         return self.dim_levi + self.dim_u
 
 
-def _normalized_nodes(typ: SimpleType, removed: Iterable[int]) -> tuple[int, ...]:
-    nodes = sorted({int(i) for i in removed})
-    if nodes and not (1 <= nodes[0] and nodes[-1] <= typ.rank):
-        raise ValueError(f"removed nodes {nodes} out of range for {typ}")
-    return tuple(nodes)
-
-
 def levi_data(typ: SimpleType, removed: Iterable[int]) -> LeviData:
-    rem = _normalized_nodes(typ, removed)
+    rem = checked_nodes(typ, removed)
     rem_ix = [i - 1 for i in rem]
     kept = tuple(i for i in range(1, typ.rank + 1) if i not in rem)
     components = subdiagram_components(typ, kept)
     dim_ss = sum(dim_simple(c.typ) for c in components)
     dim_u = sum(1 for beta in positive_roots(typ) if any(beta[i] for i in rem_ix))
-    assert dim_simple(typ) == dim_ss + len(rem) + 2 * dim_u
     return LeviData(typ, rem, kept, components, dim_ss, dim_u)
 
 
@@ -73,7 +67,7 @@ def dim_u_by_accounting(typ: SimpleType, removed: Iterable[int]) -> int:
     Counts no roots of g: it only needs the semisimple dimensions of the
     kept components, so it serves as an independent route to dim u.
     """
-    rem = _normalized_nodes(typ, removed)
+    rem = checked_nodes(typ, removed)
     kept = [i for i in range(1, typ.rank + 1) if i not in rem]
     dim_ss = sum(dim_simple(c.typ) for c in subdiagram_components(typ, kept))
     q, r = divmod(dim_simple(typ) - dim_ss - len(rem), 2)
@@ -82,11 +76,7 @@ def dim_u_by_accounting(typ: SimpleType, removed: Iterable[int]) -> int:
 
 
 def _checked_nonzero_dominant(typ: SimpleType, weight: Iterable[int]) -> Weight:
-    w = tuple(int(c) for c in weight)
-    if len(w) != typ.rank:
-        raise ValueError(f"weight length {len(w)} does not match rank of {typ}")
-    if any(c < 0 for c in w):
-        raise ValueError(f"weight {w} is not dominant")
+    w = checked_weight(typ, weight)
     if not any(w):
         raise ValueError("weight must be nonzero")
     return w

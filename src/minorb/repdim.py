@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .rootsys import SimpleType, positive_roots, symmetrizers
+from .rootsys import SimpleType, checked_weight, positive_roots, symmetrizers
 
 Weight = tuple[int, ...]
 
@@ -22,18 +22,9 @@ def weyl_vector(typ: SimpleType) -> Weight:
     return (1,) * typ.rank
 
 
-def _checked(typ: SimpleType, weight: Iterable[int]) -> Weight:
-    w = tuple(int(c) for c in weight)
-    if len(w) != typ.rank:
-        raise ValueError(f"weight length {len(w)} does not match rank of {typ}")
-    if any(c < 0 for c in w):
-        raise ValueError(f"weight {w} is not dominant")
-    return w
-
-
 def dim_irrep(typ: SimpleType, weight: Iterable[int]) -> int:
     """Dimension of the irreducible module with the given highest weight."""
-    w = _checked(typ, weight)
+    w = checked_weight(typ, weight)
     d = symmetrizers(typ)
     num = 1
     den = 1
@@ -71,7 +62,7 @@ def dual_weight(typ: SimpleType, weight: Iterable[int]) -> Weight:
     nontrivial diagram involution where one exists (A_n reversal, the
     spin swap of D_n for odd n, the flip of E6) and fixes them otherwise.
     """
-    w = _checked(typ, weight)
+    w = checked_weight(typ, weight)
     n = typ.rank
     if typ.family == "A":
         return w[::-1]

@@ -179,16 +179,31 @@ def positive_roots(typ: SimpleType) -> tuple[Vector, ...]:
 
 @lru_cache(maxsize=None)
 def highest_root(typ: SimpleType) -> Vector:
-    root = positive_roots(typ)[-1]
-    assert all(
-        all(c >= b for c, b in zip(root, beta)) for beta in positive_roots(typ)
-    ), "highest root must dominate coefficientwise"
-    return root
+    """The last positive root, which dominates every root coefficientwise."""
+    return positive_roots(typ)[-1]
 
 
 def dim_simple(typ: SimpleType) -> int:
     """Dimension of the simple Lie algebra: rank plus the number of roots."""
     return typ.rank + 2 * len(positive_roots(typ))
+
+
+def checked_weight(typ: SimpleType, weight: Iterable[int]) -> Vector:
+    """A dominant weight of typ as an integer tuple; ValueError otherwise."""
+    w = tuple(int(c) for c in weight)
+    if len(w) != typ.rank:
+        raise ValueError(f"weight length {len(w)} does not match rank of {typ}")
+    if any(c < 0 for c in w):
+        raise ValueError(f"weight {w} is not dominant")
+    return w
+
+
+def checked_nodes(typ: SimpleType, nodes: Iterable[int]) -> Vector:
+    """A node set of typ, sorted and without duplicates; ValueError if out of range."""
+    out = sorted({int(i) for i in nodes})
+    if out and not (1 <= out[0] and out[-1] <= typ.rank):
+        raise ValueError(f"nodes {out} out of range for {typ}")
+    return tuple(out)
 
 
 def root_to_weight(typ: SimpleType, root: Vector) -> Vector:
@@ -264,10 +279,7 @@ def subdiagram_components(typ: SimpleType, kept: Iterable[int]) -> tuple[Compone
     structural (bond multiplicities, arrow directions, branch shapes), so
     C2 and D3 shapes come back as B2 and A3.
     """
-    n = typ.rank
-    nodes = sorted(set(kept))
-    if any(i < 1 or i > n for i in nodes):
-        raise ValueError(f"node out of range for {typ}")
+    nodes = checked_nodes(typ, kept)
     a = cartan_matrix(typ)
     adj = {u: [v for v in nodes if v != u and a[u - 1][v - 1]] for u in nodes}
     out = []

@@ -1,9 +1,14 @@
-"""Byte-for-byte CLI transcripts: every output that exposes a component labeling.
+"""Byte-for-byte CLI transcripts of every subcommand, checked against the schema.
 
-``golden.json`` maps each command line to its exact stdout: ``levi``, ``valpha``
-and ``branch`` at every node of every table type up to rank 8, and tables 2-5
-at ``--max-rank 16``, each in text and in ``--json``.  Regenerate it only for
-an intended output change, with
+``golden.json`` maps each command line to its exact stdout, each in text and in
+``--json``: ``levi``, ``valpha`` and ``branch`` at every node of every table type
+up to rank 8; tables 2-5 at ``--max-rank 16``; ``cartan``, ``icartan`` and
+``roots`` of every table type up to rank 8; ``invariants`` of every table type
+up to rank 12; ``dim``, ``dual`` and ``minorbit`` at every fundamental weight
+and one mixed weight of every table type up to rank 8; and ``grade`` at every
+node of those types, plain and ``--mod 3``.  Every ``--json`` transcript must
+validate against ``schema/report.json``.  Regenerate the file only for an
+intended output change, with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -14,11 +19,22 @@ import json
 from pathlib import Path
 
 import pytest
+from jsonschema import Draft202012Validator
 
 from minorb import table_types
 from minorb.cli import main
 
 GOLDEN = Path(__file__).with_name("golden.json")
+SCHEMA = Path(__file__).parents[1] / "schema" / "report.json"
+
+
+def _weights(n: int) -> list[str]:
+    """Every fundamental weight, then one mixed weight (coordinate k is k mod 3)."""
+    fundamental = [
+        ",".join(str(int(k == i)) for k in range(1, n + 1)) for i in range(1, n + 1)
+    ]
+    mixed = ",".join(str(k % 3) for k in range(1, n + 1))
+    return fundamental + ([mixed] if mixed not in fundamental else [])
 
 
 def command_lines() -> list[str]:
@@ -29,6 +45,23 @@ def command_lines() -> list[str]:
         for node in range(1, typ.rank + 1)
     ]
     base += [f"table {n} --max-rank 16" for n in (2, 3, 4, 5)]
+    base += [
+        f"{cmd} {typ}"
+        for typ in table_types(8)
+        for cmd in ("cartan", "icartan", "roots")
+    ]
+    base += [f"invariants {typ}" for typ in table_types(12)]
+    for typ in table_types(8):
+        base += [
+            f"{cmd} {typ} {w}"
+            for w in _weights(typ.rank)
+            for cmd in ("dim", "dual", "minorbit")
+        ]
+        base += [
+            f"grade {typ} {node}{mod}"
+            for node in range(1, typ.rank + 1)
+            for mod in ("", " --mod 3")
+        ]
     return [line + flag for line in base for flag in ("", " --json")]
 
 
@@ -51,6 +84,22 @@ def test_golden_covers_every_command_line(golden):
 @pytest.mark.parametrize("line", command_lines())
 def test_golden_transcript(golden, line):
     assert transcript(line) == golden[line]
+
+
+def test_golden_json_matches_schema(golden):
+    validator = Draft202012Validator(json.loads(SCHEMA.read_text()))
+    documents = {
+        line: json.loads(out)
+        for line, out in golden.items()
+        if line.endswith(" --json")
+    }
+    assert len(documents) == len(golden) // 2
+    errors = [
+        f"{line}: {err.message}"
+        for line, doc in documents.items()
+        for err in validator.iter_errors(doc)
+    ]
+    assert errors == []
 
 
 if __name__ == "__main__":

@@ -134,7 +134,7 @@ def test_branch_totals(typ):
 
 
 def test_node_out_of_range():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"nodes \[3\] out of range for A2"):
         grade_adjoint(parse_type("A2"), 3)
     with pytest.raises(ValueError):
         dim_v_alpha(parse_type("A2"), 0)

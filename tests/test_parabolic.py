@@ -107,8 +107,8 @@ def test_dim_u_monotone_in_removed_set(data):
 def test_rejects_bad_nodes():
     with pytest.raises(ValueError):
         levi_data(parse_type("A3"), [0])
-    with pytest.raises(ValueError):
-        levi_data(parse_type("A3"), [4])
+    with pytest.raises(ValueError, match=r"nodes \[2, 4\] out of range for A3"):
+        levi_data(parse_type("A3"), [4, 2, 4])
 
 
 MIN_ORBIT_DIMS = [

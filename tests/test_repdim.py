@@ -159,9 +159,9 @@ def test_product_dimensions():
 
 def test_rejects_bad_weights():
     a2 = parse_type("A2")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"weight \(1, -1\) is not dominant"):
         dim_irrep(a2, (1, -1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="weight length 3 does not match rank of A2"):
         dim_irrep(a2, (1, 0, 0))
     with pytest.raises(ValueError):
         dual_weight(a2, (1,))

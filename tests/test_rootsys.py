@@ -315,8 +315,8 @@ def test_components_canonical_coincidences():
 
 
 def test_components_out_of_range():
-    with pytest.raises(ValueError):
-        subdiagram_components(SimpleType("A", 3), [0, 1])
+    with pytest.raises(ValueError, match=r"nodes \[0, 1\] out of range for A3"):
+        subdiagram_components(SimpleType("A", 3), [1, 0, 1])
 
 
 # Levi shapes after removing one node, from the published case analysis
