@@ -17,6 +17,7 @@ import json
 import sys
 from collections import Counter
 from dataclasses import asdict
+from functools import cache
 
 from .grading import branch_adjoint, grade_adjoint, lowest_weight_of_v_alpha
 from .invariants import compute_d, compute_m, compute_r, full_report
@@ -338,6 +339,7 @@ _HANDLERS = {
 }
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(

@@ -27,7 +27,7 @@ from itertools import combinations
 from typing import NamedTuple, Union
 
 from .grading import dim_v_alpha
-from .parabolic import closure_is_smooth, levi_data
+from .parabolic import closure_is_smooth, dim_u, levi_data
 from .rootsys import Component, SimpleType, canonicalize, dim_simple
 
 
@@ -97,7 +97,7 @@ class ExistenceWitness:
     def dim_h(self) -> int:
         dim = sum(_dim_factor(f) for f in self.reductive_factors)
         if self.unipotent_support is not None:
-            dim += levi_data(self.ambient, self.unipotent_support).dim_u
+            dim += dim_u(self.ambient, self.unipotent_support)
         return dim
 
     @property
@@ -132,7 +132,7 @@ class DResult(NamedTuple):
 def compute_m(typ: SimpleType) -> MResult:
     """Minimal highest weight orbit dimension and the nodes attaining it."""
     typ = canonicalize(typ)
-    dims = {i: levi_data(typ, [i]).dim_u + 1 for i in range(1, typ.rank + 1)}
+    dims = {i: dim_u(typ, [i]) + 1 for i in range(1, typ.rank + 1)}
     m = min(dims.values())
     return MResult(m, m - 1, tuple(i for i, v in dims.items() if v == m))
 
@@ -223,7 +223,7 @@ def compute_d(typ: SimpleType, prune: bool = True) -> DResult:
     candidates.extend(sukhanov_refined(typ, i) for i in range(1, n + 1))
     for size in [2] if prune else range(2, n + 1):
         for nodes in combinations(range(1, n + 1), size):
-            u = levi_data(typ, nodes).dim_u
+            u = dim_u(typ, nodes)
             candidates.append(
                 BoundCertificate("crude", nodes, u + 2, f"dim u(S) + 2 = {u} + 2")
             )
@@ -235,7 +235,10 @@ def compute_d(typ: SimpleType, prune: bool = True) -> DResult:
         )
     )
     witness = _existence_witness(typ)
-    assert witness.codim == d
+    if witness.codim != d:
+        raise RuntimeError(
+            f"witness {witness} of {typ} has codimension {witness.codim}, not d = {d}"
+        )
     return DResult(d, certificates, witness)
 
 
@@ -262,7 +265,8 @@ def full_report(typ: SimpleType) -> InvariantReport:
     m = compute_m(typ)
     r = compute_r(typ)
     d = compute_d(typ)
-    assert m.m <= d.d <= r.r
+    if not m.m <= d.d <= r.r:
+        raise RuntimeError(f"{typ} breaks m <= d <= r: {m.m}, {d.d}, {r.r}")
     smooth = tuple(
         i
         for i in range(1, typ.rank + 1)

@@ -39,7 +39,8 @@ def dim_irrep(typ: SimpleType, weight: Iterable[int]) -> int:
         num *= shifted
         den *= plain
     q, r = divmod(num, den)
-    assert r == 0
+    if r:
+        raise RuntimeError(f"Weyl product for {typ} {w} is not an integer")
     return q
 
 

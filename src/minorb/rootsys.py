@@ -23,6 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, permutations
 from math import gcd, lcm
+from operator import add
 from typing import Iterable
 
 Vector = tuple[int, ...]
@@ -134,13 +135,10 @@ def symmetrizers(typ: SimpleType) -> Vector:
             if j != i and a[i][j] != 0 and d[j] is None:
                 d[j] = d[i] * Fraction(a[j][i], a[i][j])
                 queue.append(j)
-    assert all(x is not None and x > 0 for x in d), "diagram must be connected"
     scale = lcm(*(x.denominator for x in d))
     ints = [int(x * scale) for x in d]
     g = gcd(*ints)
-    out = tuple(x // g for x in ints)
-    assert min(out) == 1
-    return out
+    return tuple(x // g for x in ints)
 
 
 @lru_cache(maxsize=None)
@@ -149,32 +147,31 @@ def positive_roots(typ: SimpleType) -> tuple[Vector, ...]:
 
     Built height by height: beta + alpha_i is a root iff the alpha_i-string
     through beta continues upward, i.e. iff p - <beta, coroot_i> > 0 where p
-    counts how often alpha_i can be subtracted.
+    counts how often alpha_i can be subtracted.  Each root of the current
+    height carries its coroot pairings; those of beta + alpha_i are beta's
+    plus Cartan row i.
     """
     a = cartan_matrix(typ)
     n = typ.rank
-    layer = [tuple(int(k == i) for k in range(n)) for i in range(n)]
-    found = set(layer)
+    layer = [(tuple(int(k == i) for k in range(n)), a[i]) for i in range(n)]
+    found = {beta for beta, _ in layer}
+    out: list[Vector] = []
     while layer:
+        out += sorted(beta for beta, _ in layer)
         nxt = []
-        for beta in layer:
-            for i in range(n):
-                pairing = sum(beta[j] * a[j][i] for j in range(n))
+        for beta, pairings in layer:
+            for i, c in enumerate(beta):
+                head, tail = beta[:i], beta[i + 1 :]
                 p = 0
-                gamma = list(beta)
-                gamma[i] -= 1
-                while tuple(gamma) in found:
+                while p < c and head + (c - p - 1,) + tail in found:
                     p += 1
-                    gamma[i] -= 1
-                if p - pairing > 0:
-                    up = list(beta)
-                    up[i] += 1
-                    t = tuple(up)
-                    if t not in found:
-                        found.add(t)
-                        nxt.append(t)
+                if p > pairings[i]:
+                    up = head + (c + 1,) + tail
+                    if up not in found:
+                        found.add(up)
+                        nxt.append((up, tuple(map(add, pairings, a[i]))))
         layer = nxt
-    return tuple(sorted(found, key=lambda r: (sum(r), r)))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -238,17 +235,12 @@ def inverse_cartan(typ: SimpleType) -> tuple[Matrix, int]:
             if r != col and aug[r][col] != 0:
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    assert det.denominator == 1 and det > 0
-    d = int(det)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            v = aug[i][n + j] * d
-            assert v.denominator == 1
-            row.append(int(v))
-        rows.append(tuple(row))
-    return tuple(rows), d
+    if det.denominator != 1 or det <= 0:
+        raise RuntimeError(f"det(C) of {typ} is {det}, not a positive integer")
+    rows = tuple(tuple(x * det for x in row[n:]) for row in aug)
+    if any(x.denominator != 1 for row in rows for x in row):
+        raise RuntimeError(f"det(C) * C^-1 of {typ} is not an integer matrix")
+    return tuple(tuple(int(x) for x in row) for row in rows), int(det)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ import pytest
 from jsonschema import Draft202012Validator
 
 from minorb import table_types
-from minorb.cli import main
+from minorb.cli import _build_parser, main
 
 GOLDEN = Path(__file__).with_name("golden.json")
 SCHEMA = Path(__file__).parents[1] / "schema" / "report.json"
@@ -100,6 +100,29 @@ def test_golden_json_matches_schema(golden):
         for err in validator.iter_errors(doc)
     ]
     assert errors == []
+
+
+def test_one_parser_serves_successive_calls(golden):
+    """The parser is built once per process, and no call's options reach the next.
+
+    The expected transcripts are the rank-16 goldens cut down to the rows of
+    table_types(max_rank).
+    """
+    assert _build_parser() is _build_parser()
+    for line, max_rank in [("table 2", 12), ("table 3 --max-rank 4", 4)] * 2:
+        number = line.split()[1]
+        names = {str(t) for t in table_types(max_rank)}
+        full = golden[f"table {number} --max-rank 16"].splitlines(keepends=True)
+        assert transcript(line) == "".join(
+            row
+            for row in full
+            if row.startswith(("type\t", "#")) or row.split("\t")[0] in names
+        )
+        doc = json.loads(golden[f"table {number} --max-rank 16 --json"])
+        payload = doc["payload"]
+        payload["max_rank"] = max_rank
+        payload["rows"] = [r for r in payload["rows"] if r["type"] in names]
+        assert transcript(line + " --json") == json.dumps(doc) + "\n"
 
 
 if __name__ == "__main__":

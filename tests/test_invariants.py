@@ -1,9 +1,14 @@
 """The m, r, d invariants against the published tables, with witnesses."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import minorb
 from minorb import (
     compute_d,
     compute_m,
@@ -127,6 +132,33 @@ def test_d_witnesses_with_unipotent_part():
     a4 = compute_d(parse_type("A4")).witness
     assert a4.unipotent_support is None
     assert str(a4) == "A3 x T1"
+
+
+WRONG_WITNESS = """
+import sys
+from minorb import SimpleType, invariants
+
+invariants._existence_witness = lambda typ: invariants.ExistenceWitness(
+    typ, (SimpleType("A", 1),), None
+)
+try:
+    invariants.compute_d(SimpleType("A", 4))
+except RuntimeError as err:
+    print(sys.flags.optimize, err)
+"""
+
+
+def test_d_witness_guard_survives_optimize():
+    """compute_d rejects a witness of the wrong codimension even under python -O."""
+    src = str(Path(minorb.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", WRONG_WITNESS],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1 witness A1 of A4 has codimension 21, not d = 8\n"
 
 
 def test_d_certificates():

@@ -5,6 +5,7 @@ computer-algebra transcript; classical families are checked against
 closed forms derived independently of the root-counting code path.
 """
 
+import random
 from itertools import combinations
 
 import pytest
@@ -15,11 +16,14 @@ from minorb import (
     dim_irrep,
     dim_min_orbit,
     dim_simple,
+    dim_u,
     dim_u_by_accounting,
     levi_data,
     orbit_type,
     parabolic_of_weight,
     parse_type,
+    positive_roots,
+    SimpleType,
 )
 
 from util import ALL_TYPES, SMALL_TYPES
@@ -83,6 +87,33 @@ def test_accounting_route_agrees(typ):
             assert data.dim_parabolic == dim_simple(typ) - data.dim_u
 
 
+def direct_dim_u(typ, removed):
+    """dim u counted root by root: the positive roots involving a removed node."""
+    return sum(any(beta[i - 1] for i in removed) for beta in positive_roots(typ))
+
+
+@pytest.mark.parametrize("typ", SMALL_TYPES, ids=str)
+def test_bitset_dim_u_matches_direct_count(typ):
+    nodes = range(1, typ.rank + 1)
+    for size in range(typ.rank + 1):
+        for removed in combinations(nodes, size):
+            expected = direct_dim_u(typ, removed)
+            assert dim_u(typ, removed) == expected
+            assert levi_data(typ, removed).dim_u == expected
+
+
+@pytest.mark.parametrize(
+    "typ", [SimpleType(f, n) for f in "ABCD" for n in (24, 40)], ids=str
+)
+def test_bitset_dim_u_matches_direct_count_at_high_rank(typ):
+    rng = random.Random(f"dim_u {typ}")
+    for _ in range(20):
+        removed = rng.sample(range(1, typ.rank + 1), rng.randint(1, typ.rank))
+        expected = direct_dim_u(typ, removed)
+        assert dim_u(typ, removed) == expected
+        assert levi_data(typ, removed).dim_u == expected
+
+
 def test_empty_and_full_removal():
     e7 = parse_type("E7")
     borel = levi_data(e7, range(1, 8))
@@ -105,10 +136,11 @@ def test_dim_u_monotone_in_removed_set(data):
 
 
 def test_rejects_bad_nodes():
-    with pytest.raises(ValueError):
-        levi_data(parse_type("A3"), [0])
-    with pytest.raises(ValueError, match=r"nodes \[2, 4\] out of range for A3"):
-        levi_data(parse_type("A3"), [4, 2, 4])
+    for fn in (levi_data, dim_u):
+        with pytest.raises(ValueError, match=r"nodes \[0\] out of range for A3"):
+            fn(parse_type("A3"), [0])
+        with pytest.raises(ValueError, match=r"nodes \[2, 4\] out of range for A3"):
+            fn(parse_type("A3"), [4, 2, 4])
 
 
 MIN_ORBIT_DIMS = [

@@ -155,7 +155,8 @@ def test_symmetrizers_make_cartan_symmetric_positive_definite(typ):
     a = cartan_matrix(typ)
     d = symmetrizers(typ)
     n = typ.rank
-    assert min(d) == 1
+    # a positive integer at every node, because the diagram is connected
+    assert len(d) == n and all(x > 0 for x in d) and min(d) == 1
     sym = [[a[i][j] * d[j] for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(n):
@@ -189,6 +190,44 @@ def test_positive_root_counts():
     assert len(positive_roots(E8)) == 120
     assert len(positive_roots(SimpleType("B", 2))) == 4
     assert len(positive_roots(F4)) == 24
+
+
+def reflection_closure(typ):
+    """Every root, as the orbit of the simple roots under the simple reflections.
+
+    s_i(beta) = beta - <beta, coroot_i> alpha_i, with the pairing read off
+    column i of the Cartan matrix.
+    """
+    a = cartan_matrix(typ)
+    n = typ.rank
+    roots = {tuple(int(k == i) for k in range(n)) for i in range(n)}
+    frontier = list(roots)
+    while frontier:
+        beta = frontier.pop()
+        for i in range(n):
+            pairing = sum(beta[j] * a[j][i] for j in range(n))
+            image = tuple(c - pairing * (k == i) for k, c in enumerate(beta))
+            if image not in roots:
+                roots.add(image)
+                frontier.append(image)
+    return roots
+
+
+@pytest.mark.parametrize("typ", ALL_TYPES, ids=str)
+def test_positive_roots_match_reflection_closure(typ):
+    closure = reflection_closure(typ)
+    positive = [beta for beta in closure if min(beta) >= 0]
+    assert len(positive) * 2 == len(closure)
+    assert positive_roots(typ) == tuple(sorted(positive, key=lambda r: (sum(r), r)))
+
+
+@pytest.mark.parametrize(
+    "typ", [SimpleType(f, n) for f in "ABCD" for n in (40, 56)], ids=str
+)
+def test_positive_root_count_is_rank_times_half_coxeter_number(typ):
+    n = typ.rank
+    coxeter = {"A": n + 1, "B": 2 * n, "C": 2 * n, "D": 2 * n - 2}[typ.family]
+    assert 2 * len(positive_roots(typ)) == n * coxeter
 
 
 @pytest.mark.parametrize("typ", MID_TYPES, ids=str)
