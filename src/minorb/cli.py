@@ -40,6 +40,10 @@ from .rootsys import (
 )
 
 
+# Largest --max-rank of `table`: table 2 up to rank 32 takes about 2 s.
+MAX_TABLE_RANK = 32
+
+
 def _typ(text: str) -> SimpleType:
     typ = parse_type(text)
     raw = text.strip().upper()
@@ -302,8 +306,8 @@ def _table_row(number: int, typ: SimpleType) -> dict:
 
 
 def _cmd_table(typ, args):
-    if args.max_rank < 1:
-        raise ValueError("--max-rank must be a positive integer")
+    if not 1 <= args.max_rank <= MAX_TABLE_RANK:
+        raise ValueError(f"--max-rank must be between 1 and {MAX_TABLE_RANK}")
     rows = [
         {"type": str(t), **_table_row(args.number, t)}
         for t in table_types(args.max_rank)
@@ -385,7 +389,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("table", "reproduce a published summary table")
     p.add_argument("number", type=int, choices=(2, 3, 4, 5))
     p.add_argument(
-        "--max-rank", type=int, default=12, help="largest classical rank (default 12)"
+        "--max-rank",
+        type=int,
+        default=12,
+        help=f"largest classical rank (default 12, at most {MAX_TABLE_RANK})",
     )
     return parser
 

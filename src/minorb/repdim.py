@@ -5,14 +5,25 @@ tuples.  Dimensions come from the Weyl product over positive roots,
 evaluated entirely in integer arithmetic: both inner products with a
 root beta = sum c_j alpha_j reduce to sums of c_j * d_j terms, where d
 is the symmetrizer, so the quotient is a ratio of two exact integer
-products.  The final division is checked to be exact.
+products.
+
+Neither product loops over coordinates.  ``root_ancestry`` writes every
+positive root as a lower root plus one simple root alpha_i, so a root's
+pairing with lambda + rho is its parent's plus (w_i + 1) * d_i: one
+addition per root.  The pairings are counted by value, the cached
+counts of the rho pairings (the denominator, independent of the weight)
+are subtracted, and only the surviving powers are multiplied.  The final
+division is checked to be exact.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections import Counter
+from collections.abc import Iterable, Sequence
+from functools import lru_cache
+from math import prod
 
-from .rootsys import SimpleType, checked_weight, positive_roots, symmetrizers
+from .rootsys import SimpleType, checked_weight, root_ancestry, symmetrizers
 
 Weight = tuple[int, ...]
 
@@ -26,22 +37,30 @@ def dim_irrep(typ: SimpleType, weight: Iterable[int]) -> int:
     """Dimension of the irreducible module with the given highest weight."""
     w = checked_weight(typ, weight)
     d = symmetrizers(typ)
-    num = 1
-    den = 1
-    for beta in positive_roots(typ):
-        shifted = 0
-        plain = 0
-        for j, c in enumerate(beta):
-            if c:
-                cd = c * d[j]
-                shifted += (w[j] + 1) * cd
-                plain += cd
-        num *= shifted
-        den *= plain
+    powers = Counter(_root_values(typ, [(c + 1) * dj for c, dj in zip(w, d)]))
+    powers.subtract(_rho_counts(typ))
+    num = prod(v**e for v, e in powers.items() if e > 0)
+    den = prod(v**-e for v, e in powers.items() if e < 0)
     q, r = divmod(num, den)
     if r:
         raise RuntimeError(f"Weyl product for {typ} {w} is not an integer")
     return q
+
+
+def _root_values(typ: SimpleType, simple: Sequence[int]) -> list[int]:
+    """A linear form on every positive root, from its values on the simple roots."""
+    parent, node = root_ancestry(typ)
+    val = [0] * (len(parent) + 1)  # the last slot stays 0: val[-1] for simple roots
+    for k, (p, i) in enumerate(zip(parent, node)):
+        val[k] = val[p] + simple[i]
+    val.pop()
+    return val
+
+
+@lru_cache(maxsize=None)
+def _rho_counts(typ: SimpleType) -> Counter:
+    """How often each value of (rho, beta) occurs among the positive roots."""
+    return Counter(_root_values(typ, symmetrizers(typ)))
 
 
 def dim_irrep_product(parts: Iterable[tuple[SimpleType, Iterable[int]]]) -> int:

@@ -18,16 +18,21 @@ of Dynkin subdiagrams.  Conventions fixed once, for every other module:
 from __future__ import annotations
 
 import re
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, permutations
 from math import gcd, lcm
-from operator import add
+from operator import add, index
 from typing import Iterable
 
 Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]
+
+# Largest rank parse_type accepts: `minorb invariants D64` takes about 10 s.
+# SimpleType itself is unbounded, so library callers may go higher.
+MAX_RANK = 64
 
 _RANK_MIN = {"A": 1, "B": 2, "C": 2, "D": 3}
 _EXCEPTIONAL_RANKS = {"E": (6, 7, 8), "F": (4,), "G": (2,)}
@@ -67,11 +72,17 @@ def canonicalize(typ: SimpleType) -> SimpleType:
 
 
 def parse_type(text: str) -> SimpleType:
-    """Parse a type string such as 'E8' or 'c3' (case-insensitive, canonicalized)."""
+    """Parse a type string such as 'E8' or 'c3' (case-insensitive, canonicalized).
+
+    Ranks above MAX_RANK are refused.
+    """
     m = re.fullmatch(r"([A-Ga-g])([0-9]+)", text.strip())
     if m is None:
         raise ValueError(f"cannot parse simple type {text!r}")
-    return canonicalize(SimpleType(m.group(1).upper(), int(m.group(2))))
+    rank = int(m.group(2))
+    if rank > MAX_RANK:
+        raise ValueError(f"rank {rank} exceeds the maximum {MAX_RANK}")
+    return canonicalize(SimpleType(m.group(1).upper(), rank))
 
 
 def table_types(max_rank: int) -> list[SimpleType]:
@@ -149,7 +160,9 @@ def positive_roots(typ: SimpleType) -> tuple[Vector, ...]:
     through beta continues upward, i.e. iff p - <beta, coroot_i> > 0 where p
     counts how often alpha_i can be subtracted.  Each root of the current
     height carries its coroot pairings; those of beta + alpha_i are beta's
-    plus Cartan row i.
+    plus Cartan row i.  Since p never exceeds the coefficient c of alpha_i
+    in beta, a node whose pairing is at least c cannot pass the test and
+    is skipped before any string is probed.
     """
     a = cartan_matrix(typ)
     n = typ.rank
@@ -161,6 +174,8 @@ def positive_roots(typ: SimpleType) -> tuple[Vector, ...]:
         nxt = []
         for beta, pairings in layer:
             for i, c in enumerate(beta):
+                if pairings[i] >= c:
+                    continue
                 head, tail = beta[:i], beta[i + 1 :]
                 p = 0
                 while p < c and head + (c - p - 1,) + tail in found:
@@ -172,6 +187,32 @@ def positive_roots(typ: SimpleType) -> tuple[Vector, ...]:
                         nxt.append((up, tuple(map(add, pairings, a[i]))))
         layer = nxt
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def root_ancestry(typ: SimpleType) -> tuple[array, array]:
+    """One step down from every positive root, as two flat index arrays.
+
+    For ``beta = positive_roots(typ)[k]``, ``node[k]`` is a 0-based node i
+    such that beta - alpha_i is a positive root or zero, and ``parent[k]``
+    is the index of that root, or -1 when beta is alpha_i itself.  Roots
+    come by height, so every parent precedes its child, and any linear
+    form on roots follows from its values on the simple roots in one pass.
+    """
+    parent, node = array("i"), array("i")
+    below: dict[Vector, int] = {(0,) * typ.rank: -1}  # indices one height lower
+    level: dict[Vector, int] = {}
+    height = 1
+    for k, beta in enumerate(positive_roots(typ)):
+        if sum(beta) > height:
+            below, level, height = level, {}, height + 1
+        level[beta] = k
+        for i, c in enumerate(beta):
+            if c and (p := below.get(beta[:i] + (c - 1,) + beta[i + 1 :])) is not None:
+                parent.append(p)
+                node.append(i)
+                break
+    return parent, node
 
 
 @lru_cache(maxsize=None)
@@ -187,7 +228,7 @@ def dim_simple(typ: SimpleType) -> int:
 
 def checked_weight(typ: SimpleType, weight: Iterable[int]) -> Vector:
     """A dominant weight of typ as an integer tuple; ValueError otherwise."""
-    w = tuple(int(c) for c in weight)
+    w = _integers(weight, "weight")
     if len(w) != typ.rank:
         raise ValueError(f"weight length {len(w)} does not match rank of {typ}")
     if any(c < 0 for c in w):
@@ -197,9 +238,23 @@ def checked_weight(typ: SimpleType, weight: Iterable[int]) -> Vector:
 
 def checked_nodes(typ: SimpleType, nodes: Iterable[int]) -> Vector:
     """A node set of typ, sorted and without duplicates; ValueError if out of range."""
-    out = sorted({int(i) for i in nodes})
+    out = sorted(set(_integers(nodes, "node")))
     if out and not (1 <= out[0] and out[-1] <= typ.rank):
         raise ValueError(f"nodes {out} out of range for {typ}")
+    return tuple(out)
+
+
+def _integers(values: Iterable[int], what: str) -> Vector:
+    """The values as ints; ValueError naming the first that is not an integer.
+
+    operator.index refuses floats and strings instead of truncating them.
+    """
+    out = []
+    for c in values:
+        try:
+            out.append(index(c))
+        except TypeError:
+            raise ValueError(f"{what} entry {c!r} is not an integer") from None
     return tuple(out)
 
 

@@ -201,6 +201,19 @@ def test_error_exit_codes(capsys):
         assert out == "" and err.startswith("error:"), argv
 
 
+def test_rank_ceilings(capsys):
+    """Oversized ranks exit 2 at once instead of running without end."""
+    for argv, message in (
+        (["invariants", "A100000"], "rank 100000 exceeds the maximum 64"),
+        (["roots", "D65"], "rank 65 exceeds the maximum 64"),
+        (["table", "2", "--max-rank", "100000"], "--max-rank must be between 1 and 32"),
+        (["table", "2", "--max-rank", "33"], "--max-rank must be between 1 and 32"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == "" and err == f"error: {message}\n", argv
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "minorb.cli", "dim", "A1", "1"],

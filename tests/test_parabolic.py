@@ -141,6 +141,9 @@ def test_rejects_bad_nodes():
             fn(parse_type("A3"), [0])
         with pytest.raises(ValueError, match=r"nodes \[2, 4\] out of range for A3"):
             fn(parse_type("A3"), [4, 2, 4])
+        # a float node is refused, not truncated to node 1
+        with pytest.raises(ValueError, match=r"node entry 1\.7 is not an integer"):
+            fn(parse_type("A3"), [1.7])
 
 
 MIN_ORBIT_DIMS = [

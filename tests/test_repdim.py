@@ -1,12 +1,13 @@
 """Weyl dimension arithmetic against published tables and closed forms."""
 
 import math
-from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minorb import (
+    SimpleType,
     dim_irrep,
     dim_irrep_product,
     dim_simple,
@@ -16,6 +17,7 @@ from minorb import (
     positive_roots,
     root_to_weight,
     symmetrizers,
+    table_types,
     weyl_vector,
 )
 
@@ -64,7 +66,9 @@ def test_pinned_dimensions(name, weight, expected):
     assert dim_irrep(parse_type(name), weight) == expected
 
 
-@pytest.mark.parametrize("typ", ALL_TYPES, ids=str)
+@pytest.mark.parametrize(
+    "typ", ALL_TYPES + [SimpleType(f, 56) for f in "ABCD"], ids=str
+)
 def test_adjoint_dimension(typ):
     """The highest root generates the adjoint module."""
     lam = root_to_weight(typ, highest_root(typ))
@@ -139,14 +143,28 @@ def test_dual_weight_is_involution(typ):
 def test_dimension_ignores_symmetrizer_scale(typ):
     """Rescaling the invariant form leaves the Weyl quotient unchanged."""
     typ = parse_type(typ)
-    d = symmetrizers(typ)
     for w in [(1,) * typ.rank, fund(typ, 1), fund(typ, typ.rank)]:
-        value = Fraction(1)
-        for beta in positive_roots(typ):
-            shifted = sum((w[j] + 1) * c * 2 * d[j] for j, c in enumerate(beta))
-            plain = sum(c * 2 * d[j] for j, c in enumerate(beta))
-            value *= Fraction(shifted, plain)
-        assert value == dim_irrep(typ, w)
+        assert plain_weyl_product(typ, w, scale=2) == dim_irrep(typ, w)
+
+
+def plain_weyl_product(typ, w, scale=1):
+    """The Weyl product read off every coordinate of every positive root,
+    with the invariant form scaled by scale."""
+    d = [scale * dj for dj in symmetrizers(typ)]
+    num = den = 1
+    for beta in positive_roots(typ):
+        num *= sum((w[j] + 1) * c * d[j] for j, c in enumerate(beta))
+        den *= sum(c * d[j] for j, c in enumerate(beta))
+    assert num % den == 0
+    return num // den
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_dimension_matches_plain_weyl_product(data):
+    typ = data.draw(st.sampled_from(table_types(24)))
+    w = data.draw(st.lists(st.integers(0, 3), min_size=typ.rank, max_size=typ.rank))
+    assert dim_irrep(typ, w) == plain_weyl_product(typ, w)
 
 
 def test_product_dimensions():
@@ -163,5 +181,8 @@ def test_rejects_bad_weights():
         dim_irrep(a2, (1, -1))
     with pytest.raises(ValueError, match="weight length 3 does not match rank of A2"):
         dim_irrep(a2, (1, 0, 0))
+    # a float entry is refused, not truncated to the weight (1, 0)
+    with pytest.raises(ValueError, match=r"weight entry 1\.5 is not an integer"):
+        dim_irrep(a2, (1.5, 0))
     with pytest.raises(ValueError):
         dual_weight(a2, (1,))

@@ -11,6 +11,7 @@ from itertools import permutations
 import pytest
 
 from minorb import (
+    MAX_RANK,
     SimpleType,
     canonicalize,
     cartan_matrix,
@@ -24,6 +25,7 @@ from minorb import (
     symmetrizers,
     table_types,
 )
+from minorb.rootsys import root_ancestry
 from util import ALL_TYPES, MID_TYPES, dim_closed_form
 
 E6, E7, E8 = SimpleType("E", 6), SimpleType("E", 7), SimpleType("E", 8)
@@ -109,6 +111,17 @@ def test_parse_and_canonicalize():
         parse_type("X9")
     with pytest.raises(ValueError):
         parse_type("A")
+
+
+def test_parse_type_rank_ceiling():
+    assert parse_type(f"D{MAX_RANK}") == SimpleType("D", MAX_RANK)
+    too_big = f"rank {MAX_RANK + 1} exceeds the maximum {MAX_RANK}"
+    with pytest.raises(ValueError, match=too_big):
+        parse_type(f"D{MAX_RANK + 1}")
+    with pytest.raises(ValueError, match="rank 100000 exceeds the maximum"):
+        parse_type("A100000")
+    # the ceiling guards user input only; the library takes any rank
+    assert SimpleType("D", 96).rank == 96
 
 
 def test_cartan_a1():
@@ -228,6 +241,21 @@ def test_positive_root_count_is_rank_times_half_coxeter_number(typ):
     n = typ.rank
     coxeter = {"A": n + 1, "B": 2 * n, "C": 2 * n, "D": 2 * n - 2}[typ.family]
     assert 2 * len(positive_roots(typ)) == n * coxeter
+
+
+@pytest.mark.parametrize(
+    "typ", ALL_TYPES + [SimpleType(f, 40) for f in "ABCD"], ids=str
+)
+def test_root_ancestry_steps_down_one_simple_root(typ):
+    """Each root is its listed parent (or zero) plus the listed simple root."""
+    roots = positive_roots(typ)
+    parent, node = root_ancestry(typ)
+    assert len(parent) == len(node) == len(roots)
+    zero = (0,) * typ.rank
+    for k, (p, i) in enumerate(zip(parent, node)):
+        assert -1 <= p < k
+        lower = zero if p < 0 else roots[p]
+        assert roots[k] == tuple(c + (j == i) for j, c in enumerate(lower))
 
 
 @pytest.mark.parametrize("typ", MID_TYPES, ids=str)
