@@ -242,12 +242,6 @@ def compute_d(typ: SimpleType, prune: bool = True) -> DResult:
     return DResult(d, certificates, witness)
 
 
-def adjoint_nullcone_dim(typ: SimpleType) -> int:
-    """Dimension of the nilpotent cone of g: dim g minus the rank."""
-    typ = canonicalize(typ)
-    return dim_simple(typ) - typ.rank
-
-
 @dataclass(frozen=True)
 class InvariantReport:
     typ: SimpleType

@@ -6,11 +6,8 @@ nodes plus the full Cartan, and the nilradical u is spanned by the
 positive root spaces whose roots involve a removed node.  dim u is a
 popcount: each node keeps a cached bit mask of the positive roots whose
 support holds it, and dim u(S) counts the bits of the union of the masks
-of S, so no Levi component is built.  The bookkeeping identity
-
-    dim g = dim [l, l] + #removed + 2 dim u
-
-gives a second route, dim_u_by_accounting, which the tests compare.
+of S, so no Levi component is built.  The tests check it against the
+bookkeeping identity dim g = dim [l, l] + #removed + 2 dim u.
 
 The orbit of a highest weight vector in the irreducible module V_lambda
 is a cone over G/P_lambda, where P_lambda removes exactly the support
@@ -83,21 +80,6 @@ def levi_data(typ: SimpleType, removed: Iterable[int]) -> LeviData:
     components = subdiagram_components(typ, kept)
     dim_ss = sum(dim_simple(c.typ) for c in components)
     return LeviData(typ, rem, kept, components, dim_ss, dim_u(typ, rem))
-
-
-def dim_u_by_accounting(typ: SimpleType, removed: Iterable[int]) -> int:
-    """Nilradical dimension recovered from the bookkeeping identity alone.
-
-    Counts no roots of g: it only needs the semisimple dimensions of the
-    kept components, so it serves as an independent route to dim u.
-    """
-    rem = checked_nodes(typ, removed)
-    kept = [i for i in range(1, typ.rank + 1) if i not in rem]
-    dim_ss = sum(dim_simple(c.typ) for c in subdiagram_components(typ, kept))
-    q, r = divmod(dim_simple(typ) - dim_ss - len(rem), 2)
-    if r:
-        raise RuntimeError(f"dim g - dim [l, l] - #removed is odd for {typ} {rem}")
-    return q
 
 
 def _checked_nonzero_dominant(typ: SimpleType, weight: Iterable[int]) -> Weight:

@@ -28,11 +28,6 @@ from .rootsys import SimpleType, checked_weight, root_ancestry, symmetrizers
 Weight = tuple[int, ...]
 
 
-def weyl_vector(typ: SimpleType) -> Weight:
-    """Half-sum of positive roots, i.e. all ones in this basis."""
-    return (1,) * typ.rank
-
-
 def dim_irrep(typ: SimpleType, weight: Iterable[int]) -> int:
     """Dimension of the irreducible module with the given highest weight."""
     w = checked_weight(typ, weight)

@@ -20,7 +20,6 @@ from minorb import (
     closure_is_smooth,
     dim_irrep,
     dim_simple,
-    dim_u_by_accounting,
     dim_v_alpha,
     full_report,
     grade_adjoint,
@@ -32,6 +31,8 @@ from minorb import (
     root_to_weight,
 )
 from minorb.cli import main as cli_main
+
+from util import dim_u_by_accounting
 
 TYPES = (
     [parse_type(f"A{n}") for n in range(1, 13)]

@@ -3,9 +3,11 @@
 import json
 import subprocess
 import sys
+from decimal import Decimal
 
 import pytest
 
+from minorb import MAX_WEIGHT_ENTRY, dim_irrep, parse_type
 from minorb.cli import main
 
 
@@ -212,6 +214,46 @@ def test_rank_ceilings(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
         assert out == "" and err == f"error: {message}\n", argv
+
+
+def test_dimensions_past_the_int_str_digit_limit(capsys):
+    """A 4,352-digit dimension prints in full, and the digit limit comes back.
+
+    Decimal converts without Python's int-to-str digit limit, so the test
+    needs no limit of its own lifted.
+    """
+    weight = ",".join(["11"] * 64)
+    expected = str(Decimal(dim_irrep(parse_type("D64"), (11,) * 64)))
+    assert len(expected) == 4352
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    before = limit()
+    assert run(capsys, "dim", "D64", weight) == (0, expected + "\n", "")
+    code, out, _ = run(capsys, "minorbit", "D64", weight)
+    assert code == 0 and f"\ndim module: {expected}\n" in out
+    code, out, _ = run(capsys, "minorbit", "D64", weight, "--json")
+    payload = json.loads(out, parse_int=Decimal)["payload"]
+    assert code == 0 and str(payload["dim_module"]) == expected
+    assert limit() == before
+
+
+def test_weight_entry_ceiling(capsys):
+    """Entries beyond MAX_WEIGHT_ENTRY exit 2 before any Weyl product."""
+    assert run(capsys, "dim", "A1", str(MAX_WEIGHT_ENTRY)) == (
+        0,
+        f"{MAX_WEIGHT_ENTRY + 1}\n",
+        "",
+    )
+    huge = "1" + "0" * 299
+    message = (
+        f"error: weight entries must be at most {MAX_WEIGHT_ENTRY} in absolute value\n"
+    )
+    for argv in (
+        ["dim", "D64", ",".join([huge] * 64)],
+        ["minorbit", "D64", ",".join([huge] * 64), "--json"],
+        ["dual", "A2", f"{MAX_WEIGHT_ENTRY + 1},0"],
+        ["dim", "A2", f"0,-{huge}"],
+    ):
+        assert run(capsys, *argv) == (2, "", message), argv[:2]
 
 
 def test_module_entry_point():

@@ -13,7 +13,6 @@ from minorb import (
     compute_d,
     compute_m,
     compute_r,
-    adjoint_nullcone_dim,
     full_report,
     levi_data,
     parse_type,
@@ -21,7 +20,7 @@ from minorb import (
     sukhanov_refined,
 )
 
-from util import ALL_TYPES, MID_TYPES
+from util import ALL_TYPES, MID_TYPES, adjoint_nullcone_dim
 
 EXCEPTIONAL_ROWS = {
     # type: (m, argmin, r, d)

@@ -17,7 +17,6 @@ from minorb import (
     dim_min_orbit,
     dim_simple,
     dim_u,
-    dim_u_by_accounting,
     levi_data,
     orbit_type,
     parabolic_of_weight,
@@ -26,7 +25,7 @@ from minorb import (
     SimpleType,
 )
 
-from util import ALL_TYPES, SMALL_TYPES
+from util import ALL_TYPES, SMALL_TYPES, dim_u_by_accounting
 
 # dim u for the maximal parabolic at each single node, nodes in order.
 MAXIMAL_U_DIMS = {

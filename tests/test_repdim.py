@@ -18,10 +18,9 @@ from minorb import (
     root_to_weight,
     symmetrizers,
     table_types,
-    weyl_vector,
 )
 
-from util import ALL_TYPES, SMALL_TYPES
+from util import ALL_TYPES, SMALL_TYPES, weyl_vector
 
 
 def fund(typ, i):

@@ -5,8 +5,11 @@ everything else is checked against independent oracles: closed-form algebra
 dimensions, a local fraction-free inversion, and hand-enumerated small systems.
 """
 
+import json
 from fractions import Fraction
+from hashlib import sha256
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
@@ -256,6 +259,51 @@ def test_root_ancestry_steps_down_one_simple_root(typ):
         assert -1 <= p < k
         lower = zero if p < 0 else roots[p]
         assert roots[k] == tuple(c + (j == i) for j, c in enumerate(lower))
+
+
+# closed-form highest roots of the classical families at rank n
+HIGHEST_ROOT = {
+    "A": lambda n: (1,) * n,
+    "B": lambda n: (1,) + (2,) * (n - 1),
+    "C": lambda n: (2,) * (n - 1) + (1,),
+    "D": lambda n: (1,) + (2,) * (n - 3) + (1, 1),
+}
+
+
+@pytest.mark.parametrize("family", "ABCD")
+def test_root_core_at_the_rank_ceiling(family):
+    """Order, count, highest root and ancestry of A-D at MAX_RANK."""
+    n = MAX_RANK
+    typ = SimpleType(family, n)
+    roots = positive_roots(typ)
+    keys = [(sum(r), r) for r in roots]
+    assert all(x < y for x, y in zip(keys, keys[1:]))
+    coxeter = {"A": n + 1, "B": 2 * n, "C": 2 * n, "D": 2 * n - 2}[family]
+    assert 2 * len(roots) == n * coxeter
+    assert roots[-1] == HIGHEST_ROOT[family](n)
+    index = {beta: k for k, beta in enumerate(roots)}
+    index[(0,) * n] = -1
+    parent, node = root_ancestry(typ)
+    for k, beta in enumerate(roots):
+        lower = (beta[:i] + (c - 1,) + beta[i + 1 :] for i, c in enumerate(beta))
+        i, below = next((i, r) for i, r in enumerate(lower) if r in index)
+        assert (node[k], parent[k]) == (i, index[below])
+
+
+# sha256 of repr(positive_roots(t)), taken from the string-probing builder
+# that the packed one replaced: the order and every tuple are pinned.
+FINGERPRINTS = json.loads((Path(__file__).parent / "roots_sha256.json").read_text())
+
+
+def test_fingerprints_cover_the_inventory():
+    ceiling = [SimpleType(f, n) for n in (40, 56, 64) for f in "ABCD"]
+    assert list(FINGERPRINTS) == [str(t) for t in table_types(24) + ceiling]
+
+
+@pytest.mark.parametrize("name", FINGERPRINTS)
+def test_positive_roots_fingerprint(name):
+    roots = positive_roots(SimpleType(name[0], int(name[1:])))
+    assert sha256(repr(roots).encode()).hexdigest() == FINGERPRINTS[name]
 
 
 @pytest.mark.parametrize("typ", MID_TYPES, ids=str)
