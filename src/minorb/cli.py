@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from collections import Counter
 from contextlib import contextmanager
@@ -55,17 +56,26 @@ def _typ(text: str) -> SimpleType:
     return typ
 
 
-def _ints(text: str, what: str) -> tuple[int, ...]:
+def _ints(text: str, what: str, read=int) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(","))
+        return tuple(read(part) for part in text.split(","))
     except ValueError:
         raise ValueError(
             f"cannot parse {what} {text!r}; expected comma-separated integers"
         ) from None
 
 
+def _weight_entry(part: str) -> int:
+    # int() is quadratic in the digits with the int-str limit lifted, so an
+    # entry with more digits than the ceiling is not read: it is past it.
+    m = re.fullmatch(r"\s*[+-]?(\d+(?:_\d+)*)\s*", part)
+    if m and len(m[1].replace("_", "").lstrip("0")) > len(str(MAX_WEIGHT_ENTRY)):
+        return MAX_WEIGHT_ENTRY + 1
+    return int(part)
+
+
 def _weight(text: str) -> tuple[int, ...]:
-    w = _ints(text, "weight")
+    w = _ints(text, "weight", _weight_entry)
     if any(abs(c) > MAX_WEIGHT_ENTRY for c in w):
         raise ValueError(
             f"weight entries must be at most {MAX_WEIGHT_ENTRY} in absolute value"
@@ -244,7 +254,7 @@ def _cmd_invariants(typ, args):
     rep = full_report(typ)
     m, r, d = rep.m, rep.r, rep.d
     d_witness = {
-        "factors": [str(f) for f in d.witness.reductive_factors],
+        "factors": [str(f) for f in d.witness.factors],
         "unipotent_support": d.witness.unipotent_support,
         "dim_h": d.witness.dim_h,
     }

@@ -119,11 +119,11 @@ def branch_adjoint(typ: SimpleType, node: int) -> BranchReport:
     (node,) = checked_nodes(typ, [node])
     levi = levi_data(typ, [node])
     comps = levi.components
-    grading = grade_adjoint(typ, node)
     pos = positive_roots(typ)
     posset = set(pos)
     ix = node - 1
     kept_ix = [i - 1 for i in levi.kept]
+    max_grade = highest_root(typ)[ix]
 
     zero = []
     for ci, comp in enumerate(comps):
@@ -134,29 +134,19 @@ def branch_adjoint(typ: SimpleType, node: int) -> BranchReport:
         )
         zero.append(BranchSummand(weights, dim_simple(comp.typ)))
     zero.append(BranchSummand(tuple((0,) * c.typ.rank for c in comps), 1, torus=True))
-    grades = {0: tuple(zero)}
 
-    for k in range(1, grading.max_grade + 1):
-        tops = []
-        for beta in pos:
-            if beta[ix] != k:
-                continue
-            if any(_raised(beta, j) in posset for j in kept_ix):
-                continue
-            tops.append((sum(beta), beta))
-        tops.sort(reverse=True)
-        summands = []
-        for _, beta in tops:
-            m = root_to_weight(typ, beta)
-            weights = tuple(
-                tuple(m[orig - 1] for orig in comp.nodes) for comp in comps
-            )
-            dim = dim_irrep_product(
-                (comp.typ, w) for comp, w in zip(comps, weights)
-            )
-            summands.append(BranchSummand(weights, dim))
-        grades[k] = tuple(summands)
-    return BranchReport(typ, node, grades, grading.max_grade)
+    # positive_roots ascends by (height, root), so one walk down it meets
+    # each grade's tops from the highest.
+    summands = {k: [] for k in range(1, max_grade + 1)}
+    for beta in reversed(pos):
+        if not beta[ix] or any(_raised(beta, j) in posset for j in kept_ix):
+            continue
+        m = root_to_weight(typ, beta)
+        weights = tuple(tuple(m[orig - 1] for orig in comp.nodes) for comp in comps)
+        dim = dim_irrep_product((comp.typ, w) for comp, w in zip(comps, weights))
+        summands[beta[ix]].append(BranchSummand(weights, dim))
+    grades = {0: tuple(zero)} | {k: tuple(s) for k, s in summands.items()}
+    return BranchReport(typ, node, grades, max_grade)
 
 
 def _raised(beta: Weight, j: int) -> Weight:

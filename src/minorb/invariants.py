@@ -15,8 +15,10 @@ G / P_lambda, obtained as the minimum over three certificate families:
 
 Since dim u(S) grows strictly with S, the crude family is minimized on
 pairs; compute_d(prune=False) sweeps every support as a cross-check.
-Each value of d is certified by an explicit subgroup of that
-codimension, reductive or of the form H' * U(S) inside a parabolic.
+r and d are each certified by a Witness subgroup of that codimension:
+reductive, or for d possibly H' * U(S) inside a parabolic.  The
+certificates attaining d keep their evaluation order: reductive, refined
+by node, then crude pairs in lexicographic order.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import NamedTuple, Union
 
 from .grading import dim_v_alpha
 from .parabolic import closure_is_smooth, dim_u, levi_data
-from .rootsys import Component, SimpleType, canonicalize, dim_simple
+from .rootsys import SimpleType, canonicalize, dim_simple
 
 
 @dataclass(frozen=True)
@@ -52,29 +54,6 @@ def _dim_factor(factor: Factor) -> int:
     return factor.rank if isinstance(factor, Torus) else dim_simple(factor)
 
 
-def _product_name(factors: tuple[Factor, ...]) -> str:
-    return " x ".join(str(f) for f in factors)
-
-
-@dataclass(frozen=True)
-class ReductiveWitness:
-    """A maximal reductive subgroup of minimal codimension."""
-
-    ambient: SimpleType
-    factors: tuple[Factor, ...]
-
-    @property
-    def dim_h(self) -> int:
-        return sum(_dim_factor(f) for f in self.factors)
-
-    @property
-    def codim(self) -> int:
-        return dim_simple(self.ambient) - self.dim_h
-
-    def __str__(self) -> str:
-        return _product_name(self.factors)
-
-
 @dataclass(frozen=True)
 class BoundCertificate:
     """One evaluated upper bound for d, with its provenance inside G."""
@@ -86,16 +65,16 @@ class BoundCertificate:
 
 
 @dataclass(frozen=True)
-class ExistenceWitness:
-    """A subgroup attaining d: reductive factors, optionally times u(S)."""
+class Witness:
+    """A subgroup certifying r or d: reductive factors, optionally times u(S)."""
 
     ambient: SimpleType
-    reductive_factors: tuple[Factor, ...]
-    unipotent_support: tuple[int, ...] | None
+    factors: tuple[Factor, ...]
+    unipotent_support: tuple[int, ...] | None = None
 
     @property
     def dim_h(self) -> int:
-        dim = sum(_dim_factor(f) for f in self.reductive_factors)
+        dim = sum(_dim_factor(f) for f in self.factors)
         if self.unipotent_support is not None:
             dim += dim_u(self.ambient, self.unipotent_support)
         return dim
@@ -105,7 +84,7 @@ class ExistenceWitness:
         return dim_simple(self.ambient) - self.dim_h
 
     def __str__(self) -> str:
-        name = _product_name(self.reductive_factors)
+        name = " x ".join(str(f) for f in self.factors)
         if self.unipotent_support is not None:
             nodes = ",".join(str(i) for i in self.unipotent_support)
             name = f"{name} . U({nodes})"
@@ -120,13 +99,13 @@ class MResult(NamedTuple):
 
 class RResult(NamedTuple):
     r: int
-    witness: ReductiveWitness
+    witness: Witness
 
 
 class DResult(NamedTuple):
     d: int
     certificates: tuple[BoundCertificate, ...]
-    witness: ExistenceWitness
+    witness: Witness
 
 
 def compute_m(typ: SimpleType) -> MResult:
@@ -142,8 +121,6 @@ def _minimal_reductive(typ: SimpleType) -> tuple[Factor, ...]:
     if family == "A":
         if n == 1:
             return (Torus(1),)
-        if n == 2:
-            return (SimpleType("A", 1), Torus(1))
         if n == 3:
             return (SimpleType("B", 2),)
         return (SimpleType("A", n - 1), Torus(1))
@@ -169,16 +146,13 @@ def _minimal_reductive(typ: SimpleType) -> tuple[Factor, ...]:
 def compute_r(typ: SimpleType) -> RResult:
     """Codimension of the minimal proper reductive subgroup, with witness."""
     typ = canonicalize(typ)
-    witness = ReductiveWitness(typ, _minimal_reductive(typ))
+    witness = Witness(typ, _minimal_reductive(typ))
     return RResult(witness.codim, witness)
 
 
-def r_of_levi(components) -> int | float:
-    """min of r over the simple factors; infinity when there are none."""
-    values = [
-        compute_r(c.typ if isinstance(c, Component) else c).r for c in components
-    ]
-    return min(values, default=math.inf)
+def r_of_levi(types) -> int | float:
+    """min of r over the simple factor types; infinity when there are none."""
+    return min((compute_r(t).r for t in types), default=math.inf)
 
 
 def sukhanov_refined(typ: SimpleType, node: int) -> BoundCertificate:
@@ -187,7 +161,7 @@ def sukhanov_refined(typ: SimpleType, node: int) -> BoundCertificate:
     data = levi_data(typ, [node])
     head = data.dim_u + 1
     in_module = dim_v_alpha(typ, node)
-    in_levi = r_of_levi(data.components)
+    in_levi = r_of_levi(c.typ for c in data.components)
     value = head + min(in_module, in_levi)
     detail = (
         f"(dim u + 1) + min(dim V(alpha_{node}), r(Levi)) = "
@@ -196,15 +170,12 @@ def sukhanov_refined(typ: SimpleType, node: int) -> BoundCertificate:
     return BoundCertificate("refined", (node,), value, detail)
 
 
-def _existence_witness(typ: SimpleType) -> ExistenceWitness:
+def _existence_witness(typ: SimpleType) -> Witness:
     if typ == SimpleType("E", 7):
-        return ExistenceWitness(typ, (SimpleType("B", 5),), (1,))
+        return Witness(typ, (SimpleType("B", 5),), (1,))
     if typ == SimpleType("E", 8):
-        return ExistenceWitness(typ, (SimpleType("E", 6),), (7, 8))
-    return ExistenceWitness(typ, compute_r(typ).witness.factors, None)
-
-
-_SOURCE_ORDER = {"reductive": 0, "refined": 1, "crude": 2}
+        return Witness(typ, (SimpleType("E", 6),), (7, 8))
+    return compute_r(typ).witness
 
 
 def compute_d(typ: SimpleType, prune: bool = True) -> DResult:
@@ -228,12 +199,9 @@ def compute_d(typ: SimpleType, prune: bool = True) -> DResult:
                 BoundCertificate("crude", nodes, u + 2, f"dim u(S) + 2 = {u} + 2")
             )
     d = min(c.value for c in candidates)
-    certificates = tuple(
-        sorted(
-            (c for c in candidates if c.value == d),
-            key=lambda c: (_SOURCE_ORDER[c.source], c.nodes),
-        )
-    )
+    # Evaluation order is already (source, nodes) order among the winners:
+    # no larger support ties the least pair, as dim u(S) rises strictly with S.
+    certificates = tuple(c for c in candidates if c.value == d)
     witness = _existence_witness(typ)
     if witness.codim != d:
         raise RuntimeError(

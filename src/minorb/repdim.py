@@ -63,10 +63,7 @@ def dim_irrep_product(parts: Iterable[tuple[SimpleType, Iterable[int]]]) -> int:
 
     Torus factors are omitted: a character contributes a factor of one.
     """
-    total = 1
-    for typ, weight in parts:
-        total *= dim_irrep(typ, weight)
-    return total
+    return prod(dim_irrep(typ, weight) for typ, weight in parts)
 
 
 def dual_weight(typ: SimpleType, weight: Iterable[int]) -> Weight:

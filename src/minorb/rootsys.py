@@ -335,10 +335,6 @@ class Component:
     typ: SimpleType
     nodes: Vector
 
-    def position_of(self, node: int) -> int:
-        """1-based Bourbaki position of an original node."""
-        return self.nodes.index(node) + 1
-
 
 def subdiagram_components(typ: SimpleType, kept: Iterable[int]) -> tuple[Component, ...]:
     """Connected components of the subdiagram induced on the kept nodes.

@@ -237,7 +237,10 @@ def test_dimensions_past_the_int_str_digit_limit(capsys):
 
 
 def test_weight_entry_ceiling(capsys):
-    """Entries beyond MAX_WEIGHT_ENTRY exit 2 before any Weyl product."""
+    """Entries beyond MAX_WEIGHT_ENTRY exit 2 before any Weyl product.
+
+    A 500,000-digit entry is refused from its length, without int() reading it.
+    """
     assert run(capsys, "dim", "A1", str(MAX_WEIGHT_ENTRY)) == (
         0,
         f"{MAX_WEIGHT_ENTRY + 1}\n",
@@ -252,6 +255,7 @@ def test_weight_entry_ceiling(capsys):
         ["minorbit", "D64", ",".join([huge] * 64), "--json"],
         ["dual", "A2", f"{MAX_WEIGHT_ENTRY + 1},0"],
         ["dim", "A2", f"0,-{huge}"],
+        ["dim", "A1", "1" * 500000],
     ):
         assert run(capsys, *argv) == (2, "", message), argv[:2]
 

@@ -102,6 +102,26 @@ def test_golden_json_matches_schema(golden):
     assert errors == []
 
 
+def test_schema_checks_invariants_payload(golden):
+    """The invariants payload is checked member by member, not only as an object."""
+    validator = Draft202012Validator(json.loads(SCHEMA.read_text()))
+    good = golden["invariants E7 --json"]
+    edits = [
+        lambda p: p["r"]["witness"].update(unipotent_support=None),
+        lambda p: p["d"]["witness"].pop("unipotent_support"),
+        lambda p: p["d"]["witness"].update(reductive_factors=["B5"]),
+        lambda p: p["d"]["certificates"][0].pop("detail"),
+        lambda p: p["m"].pop("argmin"),
+        lambda p: p.update(extra=0),
+    ]
+    for k, edit in enumerate(edits):
+        doc = json.loads(good)
+        edit(doc["payload"])
+        assert not validator.is_valid(doc), k
+        doc["command"] = "levi"
+        assert validator.is_valid(doc), k
+
+
 def test_one_parser_serves_successive_calls(golden):
     """The parser is built once per process, and no call's options reach the next.
 

@@ -18,6 +18,7 @@ from minorb import (
     parse_type,
     r_of_levi,
     sukhanov_refined,
+    table_types,
 )
 
 from util import ALL_TYPES, MID_TYPES, adjoint_nullcone_dim
@@ -119,12 +120,12 @@ def test_d_table(typ):
 
 def test_d_witnesses_with_unipotent_part():
     e7 = compute_d(parse_type("E7")).witness
-    assert [str(f) for f in e7.reductive_factors] == ["B5"]
+    assert [str(f) for f in e7.factors] == ["B5"]
     assert e7.unipotent_support == (1,)
     assert e7.dim_h == 55 + 33 == 88
     assert e7.codim == 45
     e8 = compute_d(parse_type("E8")).witness
-    assert [str(f) for f in e8.reductive_factors] == ["E6"]
+    assert [str(f) for f in e8.factors] == ["E6"]
     assert e8.unipotent_support == (7, 8)
     assert e8.dim_h == 78 + 84 == 162
     assert e8.codim == 86
@@ -133,12 +134,21 @@ def test_d_witnesses_with_unipotent_part():
     assert str(a4) == "A3 x T1"
 
 
+@pytest.mark.parametrize("typ", ALL_TYPES, ids=str)
+def test_d_witness_is_r_witness_without_unipotent_part(typ):
+    """Except for E7 and E8, d is certified by r's own reductive witness."""
+    r_witness = compute_r(typ).witness
+    assert r_witness.unipotent_support is None
+    if str(typ) not in ("E7", "E8"):
+        assert compute_d(typ).witness == r_witness
+
+
 WRONG_WITNESS = """
 import sys
 from minorb import SimpleType, invariants
 
-invariants._existence_witness = lambda typ: invariants.ExistenceWitness(
-    typ, (SimpleType("A", 1),), None
+invariants._existence_witness = lambda typ: invariants.Witness(
+    typ, (SimpleType("A", 1),)
 )
 try:
     invariants.compute_d(SimpleType("A", 4))
@@ -184,6 +194,16 @@ def test_d_certificates():
     assert tags("G2") == [("reductive", ())]
 
 
+SOURCE_RANK = {"reductive": 0, "refined": 1, "crude": 2}
+
+
+@pytest.mark.parametrize("typ", table_types(16), ids=str)
+def test_d_certificates_in_source_then_node_order(typ):
+    """reductive < refined < crude, then by nodes; the goldens stop at rank 12."""
+    keys = [(SOURCE_RANK[c.source], c.nodes) for c in compute_d(typ).certificates]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+
+
 # Refined-bound evaluations from the published case analysis, shown as
 # (dim u + 1) + min(dim V(alpha_i), r(Levi)).
 REFINED_PINNED = [
@@ -212,8 +232,31 @@ def test_r_of_levi():
     assert r_of_levi([parse_type("D5")]) == 9
     assert r_of_levi([parse_type("A7"), parse_type("D7")]) == 13
     e7 = parse_type("E7")
-    assert r_of_levi(levi_data(e7, [6]).components) == 2
-    assert r_of_levi(levi_data(e7, [1]).components) == 11
+    assert r_of_levi(c.typ for c in levi_data(e7, [6]).components) == 2
+    assert r_of_levi(c.typ for c in levi_data(e7, [1]).components) == 11
+
+
+PUBLIC_API = {
+    "MAX_RANK", "MAX_WEIGHT_ENTRY", "SimpleType", "Component", "parse_type",
+    "canonicalize", "cartan_matrix", "inverse_cartan", "symmetrizers",
+    "positive_roots", "highest_root", "dim_simple", "root_to_weight",
+    "subdiagram_components", "table_types",
+    "dim_irrep", "dim_irrep_product", "dual_weight",
+    "LeviData", "levi_data", "dim_u", "parabolic_of_weight", "dim_min_orbit",
+    "orbit_type", "closure_is_smooth",
+    "GradingReport", "BranchReport", "BranchSummand", "VAlphaData",
+    "grade_adjoint", "dim_v_alpha", "lowest_weight_of_v_alpha", "branch_adjoint",
+    "Torus", "Witness", "BoundCertificate", "InvariantReport", "compute_m",
+    "compute_r", "r_of_levi", "sukhanov_refined", "compute_d", "full_report",
+}
+
+
+def test_public_api():
+    """minorb exports exactly these names, once each, and every one resolves."""
+    assert set(minorb.__all__) == PUBLIC_API
+    assert len(minorb.__all__) == len(PUBLIC_API)
+    for name in minorb.__all__:
+        assert hasattr(minorb, name), name
 
 
 @pytest.mark.parametrize("typ", ALL_TYPES, ids=str)
