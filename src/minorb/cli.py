@@ -32,6 +32,7 @@ from .parabolic import (
 )
 from .repdim import dim_irrep, dual_weight
 from .rootsys import (
+    MAX_RANK,
     MAX_WEIGHT_ENTRY,
     SimpleType,
     cartan_matrix,
@@ -43,8 +44,8 @@ from .rootsys import (
 )
 
 
-# Largest --max-rank of `table`: `table 2 --max-rank 32` takes about 0.8 s
-# (cold process, 2 vCPU, Python 3.11).
+# Largest --max-rank of `table`: `table 2 --max-rank 32` takes about 0.7 s
+# (median of six cold processes, 2 vCPU, Python 3.11.7).
 MAX_TABLE_RANK = 32
 
 
@@ -56,31 +57,26 @@ def _typ(text: str) -> SimpleType:
     return typ
 
 
-def _ints(text: str, what: str, read=int) -> tuple[int, ...]:
+def _ints(text: str, what: str, ceiling: int) -> tuple[int, ...]:
+    """Comma-separated integers, each at most ceiling in absolute value."""
+
+    def entry(part: str) -> int:
+        # int() is quadratic in the digits with the int-str limit lifted, so
+        # an entry with more digits than the ceiling is not read: it is past it.
+        m = re.fullmatch(r"\s*[+-]?(\d+(?:_\d+)*)\s*", part)
+        if m and len(m[1].replace("_", "").lstrip("0")) > len(str(ceiling)):
+            return ceiling + 1
+        return int(part)
+
     try:
-        return tuple(read(part) for part in text.split(","))
+        values = tuple(entry(part) for part in text.split(","))
     except ValueError:
         raise ValueError(
             f"cannot parse {what} {text!r}; expected comma-separated integers"
         ) from None
-
-
-def _weight_entry(part: str) -> int:
-    # int() is quadratic in the digits with the int-str limit lifted, so an
-    # entry with more digits than the ceiling is not read: it is past it.
-    m = re.fullmatch(r"\s*[+-]?(\d+(?:_\d+)*)\s*", part)
-    if m and len(m[1].replace("_", "").lstrip("0")) > len(str(MAX_WEIGHT_ENTRY)):
-        return MAX_WEIGHT_ENTRY + 1
-    return int(part)
-
-
-def _weight(text: str) -> tuple[int, ...]:
-    w = _ints(text, "weight", _weight_entry)
-    if any(abs(c) > MAX_WEIGHT_ENTRY for c in w):
-        raise ValueError(
-            f"weight entries must be at most {MAX_WEIGHT_ENTRY} in absolute value"
-        )
-    return w
+    if any(abs(c) > ceiling for c in values):
+        raise ValueError(f"{what} entries must be at most {ceiling} in absolute value")
+    return values
 
 
 @contextmanager
@@ -139,19 +135,19 @@ def _cmd_roots(typ, args):
 
 
 def _cmd_dim(typ, args):
-    w = _weight(args.weight)
+    w = _ints(args.weight, "weight", MAX_WEIGHT_ENTRY)
     value = dim_irrep(typ, w)
     return {"weight": w, "dim": value}, str(value)
 
 
 def _cmd_dual(typ, args):
-    w = _weight(args.weight)
+    w = _ints(args.weight, "weight", MAX_WEIGHT_ENTRY)
     dual = dual_weight(typ, w)
     return {"weight": w, "dual": dual}, ",".join(str(c) for c in dual)
 
 
 def _cmd_levi(typ, args):
-    data = levi_data(typ, _ints(args.nodes, "node set"))
+    data = levi_data(typ, _ints(args.nodes, "node set", MAX_RANK))
     entries, names = _components(data.components)
     payload = {
         "removed": data.removed,
@@ -227,7 +223,7 @@ def _cmd_valpha(typ, args):
 
 
 def _cmd_minorbit(typ, args):
-    w = _weight(args.weight)
+    w = _ints(args.weight, "weight", MAX_WEIGHT_ENTRY)
     primitive, multiplier = orbit_type(typ, w)
     payload = {
         "weight": w,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .parabolic import LeviData, levi_data
 from .repdim import dim_irrep_product, dual_weight
@@ -114,15 +115,17 @@ def branch_adjoint(typ: SimpleType, node: int) -> BranchReport:
     plus a one-dimensional center line.  For k >= 1 the summands are
     generated by the roots of grade k that no kept node can raise, and
     their highest weights are those roots restricted to the components.
-    Negative grades are the duals of the positive ones and are omitted.
+    A root is such a top when its raise mask (see _raise_masks) shares no
+    bit with the kept nodes: one mask test per root.  Negative grades are
+    the duals of the positive ones and are omitted.
     """
     (node,) = checked_nodes(typ, [node])
     levi = levi_data(typ, [node])
     comps = levi.components
     pos = positive_roots(typ)
-    posset = set(pos)
+    raises = _raise_masks(typ)
     ix = node - 1
-    kept_ix = [i - 1 for i in levi.kept]
+    kept_mask = ((1 << typ.rank) - 1) ^ (1 << ix)
     max_grade = highest_root(typ)[ix]
 
     zero = []
@@ -138,8 +141,8 @@ def branch_adjoint(typ: SimpleType, node: int) -> BranchReport:
     # positive_roots ascends by (height, root), so one walk down it meets
     # each grade's tops from the highest.
     summands = {k: [] for k in range(1, max_grade + 1)}
-    for beta in reversed(pos):
-        if not beta[ix] or any(_raised(beta, j) in posset for j in kept_ix):
+    for beta, up in zip(reversed(pos), reversed(raises)):
+        if not beta[ix] or up & kept_mask:
             continue
         m = root_to_weight(typ, beta)
         weights = tuple(tuple(m[orig - 1] for orig in comp.nodes) for comp in comps)
@@ -149,5 +152,12 @@ def branch_adjoint(typ: SimpleType, node: int) -> BranchReport:
     return BranchReport(typ, node, grades, max_grade)
 
 
-def _raised(beta: Weight, j: int) -> Weight:
-    return beta[:j] + (beta[j] + 1,) + beta[j + 1 :]
+@lru_cache(maxsize=None)
+def _raise_masks(typ: SimpleType) -> tuple[int, ...]:
+    """Per positive root, bit j is set when beta + alpha_(j+1) is a root.  Roots are
+    packed as in positive_roots, so adding alpha_(j+1) adds 1 << 8 * (n - 1 - j)."""
+    n = typ.rank
+    codes = [int.from_bytes(bytes(beta), "big") for beta in positive_roots(typ)]
+    known = set(codes)
+    units = [(1 << j, 1 << 8 * (n - 1 - j)) for j in range(n)]
+    return tuple(sum(bit for bit, unit in units if code + unit in known) for code in codes)

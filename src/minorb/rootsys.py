@@ -329,7 +329,10 @@ class Component:
     are deterministic even when the component has diagram symmetries.  The
     candidates are walks read from the diagram's ends (both directions of a
     chain, every ordering of a fork's arms); each identification is one of
-    them, because a diagram automorphism can only permute ends and arms.
+    them, because a diagram automorphism can only permute ends and arms.  A
+    walk fits a type when it carries the type's k - 1 bonds onto bonds with
+    the same Cartan entries: the component is a tree with k - 1 bonds, so
+    every other entry is zero on both sides.
     """
 
     typ: SimpleType
@@ -341,42 +344,63 @@ def subdiagram_components(typ: SimpleType, kept: Iterable[int]) -> tuple[Compone
 
     Components are listed by smallest original node.  Identification is
     structural (bond multiplicities, arrow directions, branch shapes), so
-    C2 and D3 shapes come back as B2 and A3.
+    C2 and D3 shapes come back as B2 and A3.  Adjacency is read off typ's
+    cached bond list, not a scan of the Cartan matrix.
     """
     nodes = checked_nodes(typ, kept)
+    adj: dict[int, list[int]] = {u: [] for u in nodes}
+    for p, q, _, _ in _bonds(typ):
+        if p + 1 in adj and q + 1 in adj:
+            adj[p + 1].append(q + 1)
+            adj[q + 1].append(p + 1)
     a = cartan_matrix(typ)
-    adj = {u: [v for v in nodes if v != u and a[u - 1][v - 1]] for u in nodes}
-    out = []
-    seen: set[int] = set()
+    left, out = set(nodes), []
     for start in nodes:
-        if start in seen:
-            continue
-        comp = [start]
-        for u in comp:
-            comp += [v for v in adj[u] if v not in comp]
-        seen.update(comp)
-        out.append(_identify(comp, adj, a))
+        if start in left:
+            comp = [start]
+            for u in comp:  # a tree: u's parent has left, its children have not
+                left.remove(u)
+                comp += [v for v in adj[u] if v in left]
+            out.append(_identify(comp, adj, a))
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _bonds(typ: SimpleType) -> tuple[tuple[int, int, int, int], ...]:
+    """Each bond of typ as (p, q, C[p][q], C[q][p]), 0-based nodes p < q."""
+    c = cartan_matrix(typ)
+    n = typ.rank
+    return tuple((p, q, c[p][q], c[q][p]) for p in range(n) for q in range(p + 1, n) if c[p][q])
+
+
+@lru_cache(maxsize=None)
+def _shapes(k: int, fork: bool) -> tuple[SimpleType, ...]:
+    """The canonical types of rank k whose diagram is a fork, or a chain."""
+    families = "DE" if fork else "ABCFG"
+    return tuple(dict.fromkeys(canonicalize(SimpleType(f, k)) for f in families if _is_type(f, k)))
+
+
 def _identify(comp: list[int], adj: dict[int, list[int]], a: Matrix) -> Component:
-    """Name a component by its shape and pick its largest Bourbaki labeling."""
+    """Name a component by its shape and pick its largest Bourbaki labeling: each
+    candidate walk is checked on the k - 1 bonds of each type of its size and shape."""
     k = len(comp)
     center = next((u for u in comp if len(adj[u]) == 3), None)
     if center is None:
         line = _arm(next(u for u in comp if len(adj[u]) <= 1), None, adj)
-        walks, shapes = [line, line[::-1]], "ABCFG"
+        walks = [line, line[::-1]]
     else:
-        walks, shapes = [], "DE"
+        walks = []
         for x, y, z in permutations(_arm(v, center, adj) for v in adj[center]):
             walks.append(x[::-1] + [center] + y + z)
             if len(x) == 2 and len(y) == 1:
                 walks.append([x[1], y[0], x[0], center] + z)
-    induced = {tuple(w): tuple(tuple(a[u - 1][v - 1] for v in w) for u in w) for w in walks}
-    for ctyp in {canonicalize(SimpleType(f, k)) for f in shapes if _is_type(f, k)}:
-        fits = [w for w, entries in induced.items() if entries == cartan_matrix(ctyp)]
+    for ctyp in _shapes(k, center is not None):
+        fits = [w for w in walks if all(
+            a[w[p] - 1][w[q] - 1] == x and a[w[q] - 1][w[p] - 1] == y
+            for p, q, x, y in _bonds(ctyp)
+        )]
         if fits:
-            return Component(ctyp, max(fits))
+            return Component(ctyp, tuple(max(fits)))
     raise RuntimeError("not a Dynkin diagram component")
 
 

@@ -3,11 +3,12 @@
 import json
 import subprocess
 import sys
+import time
 from decimal import Decimal
 
 import pytest
 
-from minorb import MAX_WEIGHT_ENTRY, dim_irrep, parse_type
+from minorb import MAX_RANK, MAX_WEIGHT_ENTRY, dim_irrep, parse_type
 from minorb.cli import main
 
 
@@ -258,6 +259,33 @@ def test_weight_entry_ceiling(capsys):
         ["dim", "A1", "1" * 500000],
     ):
         assert run(capsys, *argv) == (2, "", message), argv[:2]
+
+
+def test_node_entry_ceiling(capsys):
+    """A node set entry beyond MAX_RANK exits 2 at once, with a short message.
+
+    A 200,000-digit node is refused from its length, without int() reading
+    it, and the message does not echo it.  Nodes up to the ceiling keep the
+    out-of-range message.
+    """
+    message = f"error: node set entries must be at most {MAX_RANK} in absolute value\n"
+    start = time.perf_counter()
+    code, out, err = run(capsys, "levi", "A2", "1" * 200000)
+    assert time.perf_counter() - start < 0.05
+    assert (code, out, err) == (2, "", message) and len(err) < 200
+    assert run(capsys, "levi", "A3", f"1,{MAX_RANK + 1}") == (2, "", message)
+    assert run(capsys, "levi", "A3", f"-{MAX_RANK + 1}", "--json") == (2, "", message)
+    for nodes in ("0", str(MAX_RANK)):
+        assert run(capsys, "levi", "A3", nodes) == (
+            2,
+            "",
+            f"error: nodes [{int(nodes)}] out of range for A3\n",
+        )
+    assert run(capsys, "levi", "A3", "1,x") == (
+        2,
+        "",
+        "error: cannot parse node set '1,x'; expected comma-separated integers\n",
+    )
 
 
 def test_module_entry_point():

@@ -118,7 +118,41 @@ def test_schema_checks_invariants_payload(golden):
         doc = json.loads(good)
         edit(doc["payload"])
         assert not validator.is_valid(doc), k
-        doc["command"] = "levi"
+        doc["command"] = "cartan"
+        assert validator.is_valid(doc), k
+
+
+SCHEMA_EDITS = {
+    "levi E8 7 --json": [
+        lambda p: p.pop("dim_u"),
+        lambda p: p.update(dim_levi="80"),
+        lambda p: p["components"][0].update(rank=6),
+        lambda p: p["components"][1].pop("nodes"),
+        lambda p: p["kept"].append(0),
+        lambda p: p.update(extra=0),
+    ],
+    "branch E8 7 --json": [
+        lambda p: p.pop("max_grade"),
+        lambda p: p["grades"][1].update(dims=[54]),
+        lambda p: p["grades"][1]["summands"][0].pop("torus"),
+        lambda p: p["grades"][2]["summands"][0].update(nodes=[1]),
+        lambda p: p["grades"][3].update(summands=[]),
+        lambda p: p.update(extra=0),
+    ],
+}
+
+
+@pytest.mark.parametrize("line", SCHEMA_EDITS)
+def test_schema_checks_levi_and_branch_payloads(golden, line):
+    """The levi and branch payloads are checked member by member, summands and
+    components included."""
+    validator = Draft202012Validator(json.loads(SCHEMA.read_text()))
+    assert validator.is_valid(json.loads(golden[line]))
+    for k, edit in enumerate(SCHEMA_EDITS[line]):
+        doc = json.loads(golden[line])
+        edit(doc["payload"])
+        assert not validator.is_valid(doc), k
+        doc["command"] = "cartan"
         assert validator.is_valid(doc), k
 
 

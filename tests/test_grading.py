@@ -3,6 +3,7 @@
 import pytest
 
 from minorb import (
+    SimpleType,
     branch_adjoint,
     dim_simple,
     dim_v_alpha,
@@ -11,6 +12,9 @@ from minorb import (
     levi_data,
     lowest_weight_of_v_alpha,
     parse_type,
+    positive_roots,
+    root_to_weight,
+    table_types,
 )
 
 from util import MID_TYPES
@@ -131,6 +135,29 @@ def test_branch_totals(typ):
             assert sum(s.dim for s in summands) == grading.dims[k]
             torus_lines = [s for s in summands if s.torus]
             assert len(torus_lines) == (1 if k == 0 else 0)
+
+
+@pytest.mark.parametrize(
+    "typ", table_types(12) + [SimpleType(f, 20) for f in "ABCD"], ids=str
+)
+def test_branch_tops_by_tuple_probe(typ):
+    """The grade >= 1 summand weights are the roots that no kept node raises,
+    found by probing each beta + alpha_j as a tuple, highest root first."""
+    pos = positive_roots(typ)
+    posset = set(pos)
+    n = typ.rank
+    for node in range(1, n + 1):
+        ix = node - 1
+        comps = levi_data(typ, [node]).components
+        rep = branch_adjoint(typ, node)
+        want = {k: [] for k in range(1, rep.max_grade + 1)}
+        for beta in reversed(pos):
+            raised = (beta[:j] + (beta[j] + 1,) + beta[j + 1 :] for j in range(n) if j != ix)
+            if beta[ix] and not posset.intersection(raised):
+                m = root_to_weight(typ, beta)
+                want[beta[ix]].append(tuple(tuple(m[i - 1] for i in c.nodes) for c in comps))
+        got = {k: [s.weights for s in rep.grades[k]] for k in want}
+        assert got == want, node
 
 
 def test_node_out_of_range():

@@ -6,6 +6,7 @@ dimensions, a local fraction-free inversion, and hand-enumerated small systems.
 """
 
 import json
+import random
 from fractions import Fraction
 from hashlib import sha256
 from itertools import permutations
@@ -29,7 +30,7 @@ from minorb import (
     table_types,
 )
 from minorb.rootsys import root_ancestry
-from util import ALL_TYPES, MID_TYPES, dim_closed_form
+from util import ALL_TYPES, MID_TYPES, components_by_matrix, dim_closed_form
 
 E6, E7, E8 = SimpleType("E", 6), SimpleType("E", 7), SimpleType("E", 8)
 F4, G2 = SimpleType("F", 4), SimpleType("G", 2)
@@ -500,6 +501,32 @@ def test_component_relabeling_is_an_isomorphism(typ):
             assert fits(comp.nodes)
             if k <= 5:
                 assert comp.nodes == max(filter(fits, permutations(comp.nodes)))
+
+
+@pytest.mark.parametrize("typ", [E6, E7, E8, F4, G2], ids=str)
+def test_bond_naming_matches_whole_matrices_exceptional(typ):
+    """On every node subset, naming by bonds agrees with the whole-matrix route."""
+    for mask in range(1 << typ.rank):
+        kept = [i for i in range(1, typ.rank + 1) if mask >> (i - 1) & 1]
+        assert subdiagram_components(typ, kept) == components_by_matrix(typ, kept), kept
+
+
+@pytest.mark.parametrize(
+    "typ",
+    [SimpleType(f, n) for f in "ABCD" for n in (40, MAX_RANK)],
+    ids=str,
+)
+def test_bond_naming_matches_whole_matrices_classical(typ):
+    """200 seeded node subsets, at densities from sparse to nearly full, so that
+    long chains, the D fork and the B/C double bond all come up."""
+    rng = random.Random(f"{typ}-components")
+    for _ in range(200):
+        density = rng.random()
+        kept = [i for i in range(1, typ.rank + 1) if rng.random() < density]
+        got = subdiagram_components(typ, kept)
+        want = components_by_matrix(typ, kept)
+        assert [c.typ for c in got] == [c.typ for c in want], kept
+        assert [c.nodes for c in got] == [c.nodes for c in want], kept
 
 
 def test_table_types_inventory():

@@ -1,9 +1,13 @@
 """Shared fixtures-by-import for the test suite: type inventories, closed forms,
 and the second routes that the tests compare with the library."""
 
+from itertools import permutations
+
 from minorb import (
+    Component,
     SimpleType,
     canonicalize,
+    cartan_matrix,
     dim_simple,
     subdiagram_components,
     table_types,
@@ -55,3 +59,60 @@ def dim_u_by_accounting(typ: SimpleType, removed) -> int:
     if r:  # a plain assert here would vanish under python -O
         raise AssertionError(f"dim g - dim [l, l] - #removed is odd for {typ} {rem}")
     return q
+
+
+def components_by_matrix(typ: SimpleType, kept) -> tuple[Component, ...]:
+    """Subdiagram components named by whole induced Cartan matrices.
+
+    The reference route for subdiagram_components, which checks only bonds:
+    adjacency comes from an O(n^2) scan of the Cartan matrix, and every
+    candidate walk's k x k induced matrix is compared with the Cartan matrix
+    of every canonical type of its size and shape.  The walks and the rule
+    (the largest fitting walk) are the same.
+    """
+    nodes = checked_nodes(typ, kept)
+    a = cartan_matrix(typ)
+    adj = {u: [v for v in nodes if v != u and a[u - 1][v - 1]] for u in nodes}
+
+    def arm(start, prev):
+        path = [start]
+        while nxt := [v for v in adj[path[-1]] if v != prev]:
+            prev = path[-1]
+            path.append(nxt[0])
+        return path
+
+    out, seen = [], set()
+    for start in nodes:
+        if start in seen:
+            continue
+        comp = [start]
+        for u in comp:
+            comp += [v for v in adj[u] if v not in comp]
+        seen.update(comp)
+        k = len(comp)
+        center = next((u for u in comp if len(adj[u]) == 3), None)
+        if center is None:
+            line = arm(next(u for u in comp if len(adj[u]) <= 1), None)
+            walks, shapes = [line, line[::-1]], "ABCFG"
+        else:
+            walks, shapes = [], "DE"
+            for x, y, z in permutations(arm(v, center) for v in adj[center]):
+                walks.append(x[::-1] + [center] + y + z)
+                if len(x) == 2 and len(y) == 1:
+                    walks.append([x[1], y[0], x[0], center] + z)
+        induced = {
+            tuple(w): tuple(tuple(a[u - 1][v - 1] for v in w) for u in w) for w in walks
+        }
+        named = []
+        for f in shapes:
+            try:
+                ctyp = canonicalize(SimpleType(f, k))
+            except ValueError:
+                continue
+            fits = [w for w, entries in induced.items() if entries == cartan_matrix(ctyp)]
+            if fits:
+                named.append(Component(ctyp, max(fits)))
+        if len(set(named)) != 1:  # a plain assert here would vanish under python -O
+            raise AssertionError(f"{typ} {comp} fits {named}, not one type")
+        out.append(named[0])
+    return tuple(out)
