@@ -36,6 +36,7 @@ from .rootsys import (
     MAX_WEIGHT_ENTRY,
     SimpleType,
     cartan_matrix,
+    clipped,
     dim_simple,
     inverse_cartan,
     parse_type,
@@ -53,7 +54,7 @@ def _typ(text: str) -> SimpleType:
     typ = parse_type(text)
     raw = text.strip().upper()
     if raw != str(typ):
-        print(f"note: {raw} taken in canonical form {typ}", file=sys.stderr)
+        print(f"note: {clipped(raw)} taken in canonical form {typ}", file=sys.stderr)
     return typ
 
 
@@ -72,7 +73,7 @@ def _ints(text: str, what: str, ceiling: int) -> tuple[int, ...]:
         values = tuple(entry(part) for part in text.split(","))
     except ValueError:
         raise ValueError(
-            f"cannot parse {what} {text!r}; expected comma-separated integers"
+            f"cannot parse {what} {clipped(text)!r}; expected comma-separated integers"
         ) from None
     if any(abs(c) > ceiling for c in values):
         raise ValueError(f"{what} entries must be at most {ceiling} in absolute value")

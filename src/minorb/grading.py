@@ -12,7 +12,6 @@ summands by locating the maximal root vectors of each grade.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,6 +24,7 @@ from .rootsys import (
     dim_simple,
     highest_root,
     positive_roots,
+    root_columns,
     root_to_weight,
 )
 
@@ -71,19 +71,18 @@ class BranchReport:
 def grade_adjoint(typ: SimpleType, node: int) -> GradingReport:
     """Dimension of each graded piece, keyed by grade (negatives included)."""
     ix = checked_nodes(typ, [node])[0] - 1
-    counts = Counter(beta[ix] for beta in positive_roots(typ))
+    col = root_columns(typ)[ix]
     top = highest_root(typ)[ix]
-    dims = {0: typ.rank + 2 * counts.get(0, 0)}
+    dims = {0: typ.rank + 2 * col.count(0)}
     for k in range(1, top + 1):
-        dims[k] = counts[k]
-        dims[-k] = counts[k]
+        dims[k] = dims[-k] = col.count(k)
     return GradingReport(typ, node, dims, top)
 
 
 def dim_v_alpha(typ: SimpleType, node: int) -> int:
     """dim of the grade-one piece, counted directly on roots."""
     ix = checked_nodes(typ, [node])[0] - 1
-    return sum(1 for beta in positive_roots(typ) if beta[ix] == 1)
+    return root_columns(typ)[ix].count(1)
 
 
 def lowest_weight_of_v_alpha(typ: SimpleType, node: int) -> VAlphaData:

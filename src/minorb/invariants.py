@@ -25,11 +25,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 from itertools import combinations
+from operator import or_
 from typing import NamedTuple, Union
 
 from .grading import dim_v_alpha
-from .parabolic import closure_is_smooth, dim_u, levi_data
+from .parabolic import closure_is_smooth, dim_u, levi_data, support_masks
 from .rootsys import SimpleType, canonicalize, dim_simple
 
 
@@ -111,9 +113,9 @@ class DResult(NamedTuple):
 def compute_m(typ: SimpleType) -> MResult:
     """Minimal highest weight orbit dimension and the nodes attaining it."""
     typ = canonicalize(typ)
-    dims = {i: dim_u(typ, [i]) + 1 for i in range(1, typ.rank + 1)}
-    m = min(dims.values())
-    return MResult(m, m - 1, tuple(i for i, v in dims.items() if v == m))
+    dims = [mask.bit_count() + 1 for mask in support_masks(typ)]
+    m = min(dims)
+    return MResult(m, m - 1, tuple(i for i, v in enumerate(dims, 1) if v == m))
 
 
 def _minimal_reductive(typ: SimpleType) -> tuple[Factor, ...]:
@@ -143,6 +145,7 @@ def _minimal_reductive(typ: SimpleType) -> tuple[Factor, ...]:
     }[n]
 
 
+@lru_cache(maxsize=None)  # a catalogue lookup, asked once per Levi factor
 def compute_r(typ: SimpleType) -> RResult:
     """Codimension of the minimal proper reductive subgroup, with witness."""
     typ = canonicalize(typ)
@@ -192,9 +195,10 @@ def compute_d(typ: SimpleType, prune: bool = True) -> DResult:
         BoundCertificate("reductive", (), r_value, f"H = {r_witness}")
     ]
     candidates.extend(sukhanov_refined(typ, i) for i in range(1, n + 1))
+    masks = support_masks(typ)
     for size in [2] if prune else range(2, n + 1):
-        for nodes in combinations(range(1, n + 1), size):
-            u = dim_u(typ, nodes)
+        for nodes, group in zip(combinations(range(1, n + 1), size), combinations(masks, size)):
+            u = reduce(or_, group).bit_count()
             candidates.append(
                 BoundCertificate("crude", nodes, u + 2, f"dim u(S) + 2 = {u} + 2")
             )

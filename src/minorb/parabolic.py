@@ -4,10 +4,10 @@ A standard parabolic subalgebra is determined by the set of simple nodes
 it removes: the Levi factor is the reductive subalgebra on the kept
 nodes plus the full Cartan, and the nilradical u is spanned by the
 positive root spaces whose roots involve a removed node.  dim u is a
-popcount: each node keeps a cached bit mask of the positive roots whose
-support holds it, and dim u(S) counts the bits of the union of the masks
-of S, so no Levi component is built.  The tests check it against the
-bookkeeping identity dim g = dim [l, l] + #removed + 2 dim u.
+popcount: each node keeps a cached mask whose byte k is 1 when positive
+root k involves the node, and dim u(S) counts the set bits of the union
+of the masks of S, so no Levi component is built.  The tests check it
+against the bookkeeping identity dim g = dim [l, l] + #removed + 2 dim u.
 
 The orbit of a highest weight vector in the irreducible module V_lambda
 is a cone over G/P_lambda, where P_lambda removes exactly the support
@@ -28,7 +28,7 @@ from .rootsys import (
     checked_nodes,
     checked_weight,
     dim_simple,
-    positive_roots,
+    root_columns,
     subdiagram_components,
 )
 
@@ -53,21 +53,22 @@ class LeviData:
         return self.dim_levi + self.dim_u
 
 
+# byte value -> 1 if nonzero, for bytes.translate
+_NONZERO = bytes([0]) + bytes([1]) * 255
+
+
 @lru_cache(maxsize=None)
-def _support_masks(typ: SimpleType) -> tuple[int, ...]:
-    """One int per node: bit k is set when positive root k involves that node."""
-    masks = [0] * typ.rank
-    for k, beta in enumerate(positive_roots(typ)):
-        bit = 1 << k
-        for i, c in enumerate(beta):
-            if c:
-                masks[i] |= bit
-    return tuple(masks)
+def support_masks(typ: SimpleType) -> tuple[int, ...]:
+    """One int per node: byte k is 1 when positive root k involves that node.
+
+    Each mask is the node's root column with every nonzero byte set to 1,
+    read as a little-endian int."""
+    return tuple(int.from_bytes(col.translate(_NONZERO), "little") for col in root_columns(typ))
 
 
 def dim_u(typ: SimpleType, removed: Iterable[int]) -> int:
     """Nilradical dimension of the parabolic removing the given nodes."""
-    masks = _support_masks(typ)
+    masks = support_masks(typ)
     union = 0
     for i in checked_nodes(typ, removed):
         union |= masks[i - 1]

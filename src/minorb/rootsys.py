@@ -38,6 +38,8 @@ MAX_RANK = 64
 # `minorb minorbit D64` with every entry at the ceiling prints a 36,289-digit
 # dimension in about 0.2 s, measured the same way.
 MAX_WEIGHT_ENTRY = 10**9
+# Longest user text an error message quotes in full.
+MAX_QUOTED = 60
 
 _RANK_MIN = {"A": 1, "B": 2, "C": 2, "D": 3}
 _EXCEPTIONAL_RANKS = {"E": (6, 7, 8), "F": (4,), "G": (2,)}
@@ -79,15 +81,21 @@ def canonicalize(typ: SimpleType) -> SimpleType:
 def parse_type(text: str) -> SimpleType:
     """Parse a type string such as 'E8' or 'c3' (case-insensitive, canonicalized).
 
-    Ranks above MAX_RANK are refused.
+    Ranks above MAX_RANK are refused; a rank with more digits than MAX_RANK
+    is refused from its length, before int() reads it.
     """
     m = re.fullmatch(r"([A-Ga-g])([0-9]+)", text.strip())
     if m is None:
-        raise ValueError(f"cannot parse simple type {text!r}")
-    rank = int(m.group(2))
-    if rank > MAX_RANK:
-        raise ValueError(f"rank {rank} exceeds the maximum {MAX_RANK}")
-    return canonicalize(SimpleType(m.group(1).upper(), rank))
+        raise ValueError(f"cannot parse simple type {clipped(text)!r}")
+    digits = m.group(2).lstrip("0") or "0"
+    if len(digits) > len(str(MAX_RANK)) or int(digits) > MAX_RANK:
+        raise ValueError(f"rank {clipped(digits)} exceeds the maximum {MAX_RANK}")
+    return canonicalize(SimpleType(m.group(1).upper(), int(digits)))
+
+
+def clipped(text: str) -> str:
+    """text to quote in an error message, cut to MAX_QUOTED characters and an ellipsis."""
+    return text if len(text) <= MAX_QUOTED else text[:MAX_QUOTED] + "\u2026"
 
 
 def table_types(max_rank: int) -> list[SimpleType]:
@@ -165,14 +173,11 @@ _ANCESTRY: dict[SimpleType, tuple[array, array]] = {}
 def positive_roots(typ: SimpleType) -> tuple[Vector, ...]:
     """All positive roots, by height then lexicographically.
 
-    One pass, height by height.  beta + alpha_i is a root iff p_i > <beta,
-    coroot_i>, where p_i counts how often alpha_i can be subtracted from
-    beta.  No string is probed: each root records its down nodes (those i
-    with beta - alpha_i a root, or zero) with their depth p_i, and
-    p_i(beta + alpha_i) = p_i(beta) + 1; every other node has p_i = 0.  So
-    the up nodes are those with negative pairing plus the down nodes whose
-    pairing is below p_i.  Each root also carries its coroot pairings,
-    beta's plus Cartan row i for beta + alpha_i.  The same pass records
+    One pass, height by height, that probes no root string.  beta + alpha_i
+    is a root iff p_i > <beta, coroot_i>, where p_i counts how often alpha_i
+    can be subtracted from beta, and p_i(beta + alpha_i) = p_i(beta) + 1.
+    Each root carries its depths p_i and coroot pairings packed a byte per
+    node, so one subtraction marks all its up nodes.  The same pass records
     the ancestry that root_ancestry returns.
     """
     a = cartan_matrix(typ)
@@ -182,40 +187,39 @@ def positive_roots(typ: SimpleType) -> tuple[Vector, ...]:
     # order.  A byte is ample: no coefficient exceeds 6 (E8's highest root).
     shift = [8 * (n - 1 - i) for i in range(n)]
     unit = [1 << s for s in shift]
-    # Pairings are packed the same way, each plus 4 so that its byte holds
-    # 1..7 (roots pair to -3..3); a byte below 4 (bit 2 clear) is negative.
-    bias = 4 * sum(unit)
+    ones = sum(unit)
+    # Pairings (-3..3) and depths (0..3) are packed the same way, so byte i of
+    # depths + 0x7f * ones - pairings is 0x7c..0x85: no byte borrows, and its
+    # top bit is set exactly when p_i > <beta, coroot_i>.
     rows = [sum(c << s for c, s in zip(a[i], shift)) for i in range(n)]
+    up_base, up_bits = 0x7F * ones, 0x80 * ones
+    # top bit of node i's byte -> (i, its unit, its byte mask, its Cartan row)
+    steps = {s + 7: (i, unit[i], 255 << s, rows[i]) for i, s in enumerate(shift)}
     codes: list[int] = []
     parent, node = array("i"), array("i")
-    # code -> (pairings, {down node: (p_i, index of beta - alpha_i or -1)});
-    # the zero step of a simple root is never tested, as its pairing is 2
-    layer = {unit[i]: (bias + rows[i], {i: (1, -1)}) for i in range(n)}
+    # code -> [pairings, depths, parent index, node]; a root is first reached
+    # from its smallest parent, one step down by its lowest node, as layers
+    # are walked in order.  A simple root's depth 1 is its zero step.
+    layer = {unit[i]: [rows[i], unit[i], -1, i] for i in range(n)}
     while layer:
-        nxt: dict[int, tuple[int, dict[int, tuple[int, int]]]] = {}
+        nxt: dict[int, list[int]] = {}
         for code in sorted(layer):
-            pairings, down = layer[code]
+            pairings, depths, low_parent, low = layer[code]
             k = len(codes)
             codes.append(code)
-            low = min(down)
-            parent.append(down[low][1])
+            parent.append(low_parent)
             node.append(low)
-            ups = []
-            neg = ~pairings & bias
-            while neg:
-                top = neg.bit_length() - 1
-                neg ^= 1 << top
-                ups.append(n - 1 - (top >> 3))
-            for j, (p, _) in down.items():
-                if 0 <= ((pairings >> shift[j]) & 255) - 4 < p:
-                    ups.append(j)
-            for j in ups:
-                up = code + unit[j]
-                step = (down[j][0] + 1 if j in down else 1, k)
-                if up in nxt:
-                    nxt[up][1][j] = step
+            ups = (depths + up_base - pairings) & up_bits
+            while ups:
+                top = ups.bit_length() - 1
+                ups ^= 1 << top
+                i, u, byte, row = steps[top]
+                depth = (depths & byte) + u
+                child = nxt.get(code + u)
+                if child is None:
+                    nxt[code + u] = [pairings + row, depth, k, i]
                 else:
-                    nxt[up] = (pairings + rows[j], {j: step})
+                    child[1] += depth
         layer = nxt
     _ANCESTRY[typ] = parent, node
     return tuple(tuple(code.to_bytes(n, "big")) for code in codes)
@@ -234,6 +238,19 @@ def root_ancestry(typ: SimpleType) -> tuple[array, array]:
     """
     positive_roots(typ)
     return _ANCESTRY[typ]
+
+
+@lru_cache(maxsize=None)
+def root_columns(typ: SimpleType) -> tuple[bytes, ...]:
+    """The positive roots read by column, one byte per root in root order.
+
+    Column i holds the coefficient of alpha_(i+1) in every positive root,
+    so a grade count is ``bytes.count`` and a support test is one
+    ``bytes.translate``, both in C.
+    """
+    n = typ.rank
+    flat = b"".join(map(bytes, positive_roots(typ)))
+    return tuple(flat[i::n] for i in range(n))
 
 
 @lru_cache(maxsize=None)

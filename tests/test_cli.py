@@ -9,6 +9,7 @@ from decimal import Decimal
 import pytest
 
 from minorb import MAX_RANK, MAX_WEIGHT_ENTRY, dim_irrep, parse_type
+from minorb.rootsys import MAX_QUOTED
 from minorb.cli import main
 
 
@@ -188,6 +189,9 @@ def test_canonicalization_note(capsys):
     assert "note: C2 taken in canonical form B2" in err
     code, out, err = run(capsys, "roots", "D3")
     assert code == 0 and "canonical form A3" in err
+    code, out, err = run(capsys, "cartan", "A" + "0" * 200000 + "1")
+    assert (code, out) == (0, "2\n")
+    assert err == f"note: A{'0' * (MAX_QUOTED - 1)}\u2026 taken in canonical form A1\n"
 
 
 def test_error_exit_codes(capsys):
@@ -205,16 +209,26 @@ def test_error_exit_codes(capsys):
 
 
 def test_rank_ceilings(capsys):
-    """Oversized ranks exit 2 at once instead of running without end."""
+    """Oversized ranks exit 2 at once instead of running without end.
+
+    A rank with more digits than MAX_RANK is refused before int() reads it,
+    and a long rank or type text is quoted by its first MAX_QUOTED characters.
+    """
+    ones = "1" * MAX_QUOTED
     for argv, message in (
         (["invariants", "A100000"], "rank 100000 exceeds the maximum 64"),
         (["roots", "D65"], "rank 65 exceeds the maximum 64"),
+        (["roots", "D0065"], "rank 65 exceeds the maximum 64"),
+        (["invariants", "A" + "1" * 200000], f"rank {ones}\u2026 exceeds the maximum 64"),
+        (["invariants", "Q" + "1" * 200000], f"cannot parse simple type 'Q{ones[1:]}\u2026'"),
         (["table", "2", "--max-rank", "100000"], "--max-rank must be between 1 and 32"),
         (["table", "2", "--max-rank", "33"], "--max-rank must be between 1 and 32"),
     ):
+        start = time.perf_counter()
         code, out, err = run(capsys, *argv)
-        assert code == 2, argv
-        assert out == "" and err == f"error: {message}\n", argv
+        assert time.perf_counter() - start < 0.05
+        assert code == 2, argv[:2]
+        assert out == "" and err == f"error: {message}\n", argv[:2]
 
 
 def test_dimensions_past_the_int_str_digit_limit(capsys):
@@ -286,6 +300,23 @@ def test_node_entry_ceiling(capsys):
         "",
         "error: cannot parse node set '1,x'; expected comma-separated integers\n",
     )
+
+
+def test_unparsable_input_is_quoted_short(capsys):
+    """A huge argument that cannot be parsed is quoted by its first MAX_QUOTED
+    characters and an ellipsis; shorter ones are quoted whole."""
+    ones = "1" * MAX_QUOTED
+    for argv, message in (
+        (["levi", "A2", "1" * 200000 + ",x"], f"cannot parse node set '{ones}\u2026'"),
+        (["dim", "A2", "1," + "x" * 200000], f"cannot parse weight '1,{'x' * (MAX_QUOTED - 2)}\u2026'"),
+        (["dim", "A2", ones[2:] + ",x"], f"cannot parse weight '{ones[2:]},x'"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 0.05
+        assert (code, out) == (2, "") and err == (
+            f"error: {message}; expected comma-separated integers\n"
+        ), argv[:2]
 
 
 def test_module_entry_point():

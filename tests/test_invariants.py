@@ -4,24 +4,38 @@ import math
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 import minorb
 from minorb import (
+    MAX_RANK,
+    SimpleType,
     compute_d,
     compute_m,
     compute_r,
+    dim_min_orbit,
+    dim_v_alpha,
     full_report,
+    grade_adjoint,
     levi_data,
     parse_type,
+    positive_roots,
     r_of_levi,
     sukhanov_refined,
     table_types,
 )
 
-from util import ALL_TYPES, MID_TYPES, adjoint_nullcone_dim
+from util import (
+    ALL_TYPES,
+    MID_TYPES,
+    adjoint_nullcone_dim,
+    direct_dim_u,
+    grade_counts,
+    hilbert_degree,
+)
 
 EXCEPTIONAL_ROWS = {
     # type: (m, argmin, r, d)
@@ -292,3 +306,42 @@ def test_smooth_fundamentals(typ):
     else:
         expected = ()
     assert full_report(typ).smooth_fundamentals == expected
+
+
+@pytest.mark.parametrize(
+    "typ", ALL_TYPES + [SimpleType(f, n) for n in (40, MAX_RANK) for f in "ABCD"], ids=str
+)
+def test_column_reads_match_root_by_root_counts(typ):
+    """grade_adjoint, dim_v_alpha, compute_m and the crude certificates of
+    compute_d read root columns and support masks; here every count is
+    taken root by root on the root tuples instead."""
+    counts = grade_counts(typ)
+    for node, c in enumerate(counts, 1):
+        top = max(c)
+        dims = {0: typ.rank + 2 * c[0]} | {s * k: c[k] for k in range(1, top + 1) for s in (1, -1)}
+        rep = grade_adjoint(typ, node)
+        assert (rep.dims, rep.max_grade) == (dims, top)
+        assert dim_v_alpha(typ, node) == c[1]
+    u = [len(positive_roots(typ)) - c[0] for c in counts]
+    m = min(u) + 1
+    assert compute_m(typ) == (m, m - 1, tuple(i for i, v in enumerate(u, 1) if v + 1 == m))
+    d = compute_d(typ)
+    crude = {c.nodes: c.value for c in d.certificates if c.source == "crude"}
+    assert all(value == direct_dim_u(typ, nodes) + 2 for nodes, value in crude.items())
+    if typ.rank <= 12:  # every pair: none beats d, and the winners are all listed
+        pairs = {p: direct_dim_u(typ, p) + 2 for p in combinations(range(1, typ.rank + 1), 2)}
+        assert min(pairs.values(), default=math.inf) >= d.d
+        assert sorted(crude) == [p for p, value in pairs.items() if value == d.d]
+
+
+@pytest.mark.parametrize("typ", table_types(8), ids=str)
+def test_m_from_the_hilbert_function(typ):
+    """m and dim O_lambda at every fundamental weight by a second route: the
+    degree of k -> dim V(k omega_i) from finite differences of Weyl dimensions."""
+    degrees = []
+    for i in range(1, typ.rank + 1):
+        omega = tuple(int(k == i) for k in range(1, typ.rank + 1))
+        degrees.append(hilbert_degree(typ, omega))
+        assert dim_min_orbit(typ, omega) == degrees[-1] + 1
+    m = min(degrees) + 1
+    assert compute_m(typ) == (m, m - 1, tuple(i for i, v in enumerate(degrees, 1) if v + 1 == m))

@@ -9,7 +9,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from minorb import (
     closure_is_smooth,
@@ -21,11 +21,17 @@ from minorb import (
     orbit_type,
     parabolic_of_weight,
     parse_type,
-    positive_roots,
     SimpleType,
 )
 
-from util import ALL_TYPES, SMALL_TYPES, dim_u_by_accounting
+from util import (
+    ALL_TYPES,
+    MID_TYPES,
+    SMALL_TYPES,
+    dim_u_by_accounting,
+    direct_dim_u,
+    hilbert_degree,
+)
 
 # dim u for the maximal parabolic at each single node, nodes in order.
 MAXIMAL_U_DIMS = {
@@ -86,11 +92,6 @@ def test_accounting_route_agrees(typ):
             assert data.dim_parabolic == dim_simple(typ) - data.dim_u
 
 
-def direct_dim_u(typ, removed):
-    """dim u counted root by root: the positive roots involving a removed node."""
-    return sum(any(beta[i - 1] for i in removed) for beta in positive_roots(typ))
-
-
 @pytest.mark.parametrize("typ", SMALL_TYPES, ids=str)
 def test_bitset_dim_u_matches_direct_count(typ):
     nodes = range(1, typ.rank + 1)
@@ -132,6 +133,15 @@ def test_dim_u_monotone_in_removed_set(data):
     small = data.draw(nodes)
     big = small | data.draw(nodes)
     assert levi_data(typ, small).dim_u <= levi_data(typ, big).dim_u
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_min_orbit_dimension_is_the_hilbert_degree_plus_one(data):
+    """dim O_lambda = dim u(P_lambda) + 1 against the Hilbert function route."""
+    typ = data.draw(st.sampled_from(MID_TYPES))
+    weight = data.draw(st.lists(st.integers(0, 3), min_size=typ.rank, max_size=typ.rank).filter(any))
+    assert dim_min_orbit(typ, weight) == hilbert_degree(typ, weight) + 1
 
 
 def test_rejects_bad_nodes():

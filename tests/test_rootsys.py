@@ -273,7 +273,7 @@ HIGHEST_ROOT = {
 
 @pytest.mark.parametrize("family", "ABCD")
 def test_root_core_at_the_rank_ceiling(family):
-    """Order, count, highest root and ancestry of A-D at MAX_RANK."""
+    """Order, count and highest root of A-D at MAX_RANK."""
     n = MAX_RANK
     typ = SimpleType(family, n)
     roots = positive_roots(typ)
@@ -282,8 +282,17 @@ def test_root_core_at_the_rank_ceiling(family):
     coxeter = {"A": n + 1, "B": 2 * n, "C": 2 * n, "D": 2 * n - 2}[family]
     assert 2 * len(roots) == n * coxeter
     assert roots[-1] == HIGHEST_ROOT[family](n)
+
+
+@pytest.mark.parametrize(
+    "typ", ALL_TYPES + [SimpleType(f, MAX_RANK) for f in "ABCD"], ids=str
+)
+def test_root_ancestry_takes_the_lowest_down_node(typ):
+    """node[k] is the lowest node i with beta - alpha_i a root or zero, found by
+    probing every coordinate; F4 and G2 have the strings of length 2-3."""
+    roots = positive_roots(typ)
     index = {beta: k for k, beta in enumerate(roots)}
-    index[(0,) * n] = -1
+    index[(0,) * typ.rank] = -1
     parent, node = root_ancestry(typ)
     for k, beta in enumerate(roots):
         lower = (beta[:i] + (c - 1,) + beta[i + 1 :] for i, c in enumerate(beta))
@@ -305,6 +314,22 @@ def test_fingerprints_cover_the_inventory():
 def test_positive_roots_fingerprint(name):
     roots = positive_roots(SimpleType(name[0], int(name[1:])))
     assert sha256(repr(roots).encode()).hexdigest() == FINGERPRINTS[name]
+
+
+# sha256 of repr(root_ancestry(t)), typecodes included, taken from the
+# positive_roots pass that kept a dict of down nodes per root, before packed
+# depths replaced it.
+ANCESTRY_FINGERPRINTS = json.loads((Path(__file__).parent / "ancestry_sha256.json").read_text())
+
+
+def test_ancestry_fingerprints_cover_the_inventory():
+    assert list(ANCESTRY_FINGERPRINTS) == list(FINGERPRINTS)
+
+
+@pytest.mark.parametrize("name", ANCESTRY_FINGERPRINTS)
+def test_root_ancestry_fingerprint(name):
+    arrays = root_ancestry(SimpleType(name[0], int(name[1:])))
+    assert sha256(repr(arrays).encode()).hexdigest() == ANCESTRY_FINGERPRINTS[name]
 
 
 @pytest.mark.parametrize("typ", MID_TYPES, ids=str)

@@ -1,6 +1,7 @@
 """Shared fixtures-by-import for the test suite: type inventories, closed forms,
 and the second routes that the tests compare with the library."""
 
+from collections import Counter
 from itertools import permutations
 
 from minorb import (
@@ -8,7 +9,9 @@ from minorb import (
     SimpleType,
     canonicalize,
     cartan_matrix,
+    dim_irrep,
     dim_simple,
+    positive_roots,
     subdiagram_components,
     table_types,
 )
@@ -59,6 +62,41 @@ def dim_u_by_accounting(typ: SimpleType, removed) -> int:
     if r:  # a plain assert here would vanish under python -O
         raise AssertionError(f"dim g - dim [l, l] - #removed is odd for {typ} {rem}")
     return q
+
+
+def grade_counts(typ: SimpleType) -> list[Counter]:
+    """Per node, how many positive roots have each coefficient there.
+
+    Counted root by root on the root tuples, so it checks the column views
+    behind grade_adjoint, dim_v_alpha and the support masks.
+    """
+    counts = [Counter() for _ in range(typ.rank)]
+    for beta in positive_roots(typ):
+        for c, counter in zip(beta, counts):
+            counter[c] += 1
+    return counts
+
+
+def direct_dim_u(typ: SimpleType, removed) -> int:
+    """dim u counted root by root: the positive roots involving a removed node."""
+    return sum(any(beta[i - 1] for i in removed) for beta in positive_roots(typ))
+
+
+def hilbert_degree(typ: SimpleType, weight) -> int:
+    """The degree of k -> dim V(k lambda), from its finite differences.
+
+    The orbit closure of a highest weight vector is a cone whose coordinate
+    ring is the sum of the V(k lambda)* (Vinberg-Popov), so this polynomial
+    has degree dim O_lambda - 1 = dim u(P_lambda).  The degree is at most
+    |Phi+|, so the values at k = 0..|Phi+| + 1 fix it exactly.  The route
+    goes through the Weyl product only, never the support masks.
+    """
+    values = [dim_irrep(typ, tuple(k * c for c in weight)) for k in range(len(positive_roots(typ)) + 2)]
+    degree = -1
+    while any(values):
+        degree += 1
+        values = [b - a for a, b in zip(values, values[1:])]
+    return degree
 
 
 def components_by_matrix(typ: SimpleType, kept) -> tuple[Component, ...]:
