@@ -80,6 +80,17 @@ def _ints(text: str, what: str, ceiling: int) -> tuple[int, ...]:
     return values
 
 
+def _int(text: str, what: str, low: int, high: int) -> int:
+    """One integer from low to high, read by _ints; the error quotes no input."""
+    try:
+        (value,) = _ints(text, what, max(-low, high))
+    except ValueError:
+        value = low - 1
+    if not low <= value <= high:
+        raise ValueError(f"{what} must be between {low} and {high}")
+    return value
+
+
 @contextmanager
 def _all_digits():
     """Lift Python's int-to-str digit limit: exact dimensions may be longer."""
@@ -172,49 +183,53 @@ def _cmd_levi(typ, args):
 
 
 def _cmd_grade(typ, args):
-    rep = grade_adjoint(typ, args.node)
+    node = _int(args.node, "node", -MAX_RANK, MAX_RANK)
+    rep = grade_adjoint(typ, node)
     key, value, dims = "max_grade", rep.max_grade, rep.dims
     if args.mod is not None:
-        if args.mod < 1:
+        mod = _int(args.mod, "--mod", -MAX_WEIGHT_ENTRY, MAX_WEIGHT_ENTRY)
+        if mod < 1:
             raise ValueError("--mod must be a positive integer")
         folded = Counter()
         for g, d in rep.dims.items():
-            folded[g % args.mod] += d
-        key, value, dims = "mod", args.mod, folded
+            folded[g % mod] += d
+        key, value, dims = "mod", mod, folded
     pairs = sorted(dims.items())
-    lines = [f"{typ} node {args.node} {key} {value}"] + [f"{g}\t{d}" for g, d in pairs]
-    return {"node": args.node, key: value, "dims": pairs}, "\n".join(lines)
+    lines = [f"{typ} node {node} {key} {value}"] + [f"{g}\t{d}" for g, d in pairs]
+    return {"node": node, key: value, "dims": pairs}, "\n".join(lines)
 
 
 def _cmd_branch(typ, args):
-    rep = branch_adjoint(typ, args.node)
+    node = _int(args.node, "node", -MAX_RANK, MAX_RANK)
+    rep = branch_adjoint(typ, node)
     grades = [
         {"grade": k, "summands": [asdict(s) for s in rep.grades[k]]}
         for k in sorted(rep.grades)
     ]
-    lines = [f"{typ} node {args.node} max_grade {rep.max_grade}"]
+    lines = [f"{typ} node {node} max_grade {rep.max_grade}"]
     lines += [
         f"{g['grade']}\t{_fmt_weights(s['weights'])}\t{s['dim']}"
         + ("\ttorus" if s["torus"] else "")
         for g in grades
         for s in g["summands"]
     ]
-    payload = {"node": args.node, "max_grade": rep.max_grade, "grades": grades}
+    payload = {"node": node, "max_grade": rep.max_grade, "grades": grades}
     return payload, "\n".join(lines)
 
 
 def _cmd_valpha(typ, args):
-    data = lowest_weight_of_v_alpha(typ, args.node)
+    node = _int(args.node, "node", -MAX_RANK, MAX_RANK)
+    data = lowest_weight_of_v_alpha(typ, node)
     entries, names = _components(data.levi.components)
     payload = {
-        "node": args.node,
+        "node": node,
         "levi": entries,
         "lowest": data.lowest,
         "highest": data.highest,
         "dim": data.dim,
     }
     lines = [
-        f"{typ} node {args.node}",
+        f"{typ} node {node}",
         f"levi: {' '.join(names) or '-'}",
         f"lowest: {_fmt_weights(data.lowest)}",
         f"highest: {_fmt_weights(data.highest)}",
@@ -340,21 +355,18 @@ def _table_row(number: int, typ: SimpleType) -> dict:
 
 
 def _cmd_table(typ, args):
-    if not 1 <= args.max_rank <= MAX_TABLE_RANK:
-        raise ValueError(f"--max-rank must be between 1 and {MAX_TABLE_RANK}")
-    rows = [
-        {"type": str(t), **_table_row(args.number, t)}
-        for t in table_types(args.max_rank)
-    ]
-    notes = _TABLE_NOTES[args.number]
-    lines = [_TABLE_HEADERS[args.number]]
+    number = _int(args.number, "table number", 2, 5)
+    max_rank = _int(args.max_rank, "--max-rank", 1, MAX_TABLE_RANK)
+    rows = [{"type": str(t), **_table_row(number, t)} for t in table_types(max_rank)]
+    notes = _TABLE_NOTES[number]
+    lines = [_TABLE_HEADERS[number]]
     lines += [
         "\t".join(_fmt_nodes(v) if isinstance(v, tuple) else str(v) for v in r.values())
         for r in rows
     ]
     payload = {
-        "table": args.number,
-        "max_rank": args.max_rank,
+        "table": number,
+        "max_rank": max_rank,
         "rows": rows,
         "notes": notes,
     }
@@ -408,24 +420,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("nodes", help="comma-separated nodes, e.g. 7,8")
     p = add("grade", "adjoint grading by the coefficient of one simple root")
     p.add_argument("type")
-    p.add_argument("node", type=int)
-    p.add_argument("--mod", type=int, help="fold grades modulo this period")
+    p.add_argument("node")
+    p.add_argument("--mod", help="fold grades modulo this period")
     p = add("branch", "irreducible summands of each nonnegative grade")
     p.add_argument("type")
-    p.add_argument("node", type=int)
+    p.add_argument("node")
     p = add("valpha", "the grade-one module V(alpha) at a node")
     p.add_argument("type")
-    p.add_argument("node", type=int)
+    p.add_argument("node")
     p = add("minorbit", "highest weight orbit data for a dominant weight")
     p.add_argument("type")
     p.add_argument("weight")
     add("invariants", "the m, r, d invariants with witnesses").add_argument("type")
     p = add("table", "reproduce a published summary table")
-    p.add_argument("number", type=int, choices=(2, 3, 4, 5))
+    p.add_argument("number", metavar="{2,3,4,5}")
     p.add_argument(
         "--max-rank",
-        type=int,
-        default=12,
+        default="12",
         help=f"largest classical rank (default 12, at most {MAX_TABLE_RANK})",
     )
     return parser

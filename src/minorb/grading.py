@@ -13,7 +13,6 @@ summands by locating the maximal root vectors of each grade.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .parabolic import LeviData, levi_data
 from .repdim import dim_irrep_product, dual_weight
@@ -24,6 +23,7 @@ from .rootsys import (
     dim_simple,
     highest_root,
     positive_roots,
+    raise_masks,
     root_columns,
     root_to_weight,
 )
@@ -114,15 +114,15 @@ def branch_adjoint(typ: SimpleType, node: int) -> BranchReport:
     plus a one-dimensional center line.  For k >= 1 the summands are
     generated by the roots of grade k that no kept node can raise, and
     their highest weights are those roots restricted to the components.
-    A root is such a top when its raise mask (see _raise_masks) shares no
-    bit with the kept nodes: one mask test per root.  Negative grades are
-    the duals of the positive ones and are omitted.
+    A root is such a top when its raise mask (see rootsys.raise_masks)
+    shares no bit with the kept nodes: one mask test per root.  Negative
+    grades are the duals of the positive ones and are omitted.
     """
     (node,) = checked_nodes(typ, [node])
     levi = levi_data(typ, [node])
     comps = levi.components
     pos = positive_roots(typ)
-    raises = _raise_masks(typ)
+    raises = raise_masks(typ)
     ix = node - 1
     kept_mask = ((1 << typ.rank) - 1) ^ (1 << ix)
     max_grade = highest_root(typ)[ix]
@@ -149,14 +149,3 @@ def branch_adjoint(typ: SimpleType, node: int) -> BranchReport:
         summands[beta[ix]].append(BranchSummand(weights, dim))
     grades = {0: tuple(zero)} | {k: tuple(s) for k, s in summands.items()}
     return BranchReport(typ, node, grades, max_grade)
-
-
-@lru_cache(maxsize=None)
-def _raise_masks(typ: SimpleType) -> tuple[int, ...]:
-    """Per positive root, bit j is set when beta + alpha_(j+1) is a root.  Roots are
-    packed as in positive_roots, so adding alpha_(j+1) adds 1 << 8 * (n - 1 - j)."""
-    n = typ.rank
-    codes = [int.from_bytes(bytes(beta), "big") for beta in positive_roots(typ)]
-    known = set(codes)
-    units = [(1 << j, 1 << 8 * (n - 1 - j)) for j in range(n)]
-    return tuple(sum(bit for bit, unit in units if code + unit in known) for code in codes)

@@ -14,7 +14,8 @@ G / P_lambda, obtained as the minimum over three certificate families:
   * the crude bound dim u(S) + 2 for a support S of two or more nodes.
 
 Since dim u(S) grows strictly with S, the crude family is minimized on
-pairs; compute_d(prune=False) sweeps every support as a cross-check.
+pairs, and only pairs are evaluated; the tests sweep every support as a
+cross-check.
 r and d are each certified by a Witness subgroup of that codimension:
 reductive, or for d possibly H' * U(S) inside a parabolic.  The
 certificates attaining d keep their evaluation order: reductive, refined
@@ -25,9 +26,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import combinations
-from operator import or_
 from typing import NamedTuple, Union
 
 from .grading import dim_v_alpha
@@ -181,12 +181,11 @@ def _existence_witness(typ: SimpleType) -> Witness:
     return compute_r(typ).witness
 
 
-def compute_d(typ: SimpleType, prune: bool = True) -> DResult:
+def compute_d(typ: SimpleType) -> DResult:
     """Minimum over the certificate families, with the attaining witness.
 
-    prune=True evaluates the crude family on pairs only, which suffices
-    because dim u(S) is strictly increasing in S; prune=False sweeps all
-    2^rank supports and must give the same result.
+    The crude family is evaluated on pairs only, which suffices because
+    dim u(S) is strictly increasing in S.
     """
     typ = canonicalize(typ)
     n = typ.rank
@@ -196,12 +195,9 @@ def compute_d(typ: SimpleType, prune: bool = True) -> DResult:
     ]
     candidates.extend(sukhanov_refined(typ, i) for i in range(1, n + 1))
     masks = support_masks(typ)
-    for size in [2] if prune else range(2, n + 1):
-        for nodes, group in zip(combinations(range(1, n + 1), size), combinations(masks, size)):
-            u = reduce(or_, group).bit_count()
-            candidates.append(
-                BoundCertificate("crude", nodes, u + 2, f"dim u(S) + 2 = {u} + 2")
-            )
+    for nodes, (x, y) in zip(combinations(range(1, n + 1), 2), combinations(masks, 2)):
+        u = (x | y).bit_count()
+        candidates.append(BoundCertificate("crude", nodes, u + 2, f"dim u(S) + 2 = {u} + 2"))
     d = min(c.value for c in candidates)
     # Evaluation order is already (source, nodes) order among the winners:
     # no larger support ties the least pair, as dim u(S) rises strictly with S.

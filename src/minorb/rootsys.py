@@ -10,9 +10,10 @@ of Dynkin subdiagrams.  Conventions fixed once, for every other module:
 * Roots and weights are plain integer tuples; a root is written in the
   simple-root basis, a weight in the fundamental-weight basis.
 * Positive roots are listed by height and then lexicographically.
-* Symmetrizers ``d`` are the minimal positive integers making
-  ``cartan * diag(d)`` symmetric; ``d_i`` is proportional to half the
-  squared length of ``alpha_i``.
+* Each family's diagram is written once, as its edges and the root length
+  ``d_i`` of each node: the symmetrizers, minimal positive integers making
+  ``cartan * diag(d)`` symmetric.  A bond p - q has Cartan entries
+  ``C[p][q] = -max(1, d_p // d_q)`` and ``C[q][p] = -max(1, d_q // d_p)``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, permutations
-from math import gcd, lcm
 from operator import index
 from typing import Iterable
 
@@ -106,63 +106,38 @@ def table_types(max_rank: int) -> list[SimpleType]:
     return [t for t in chain(classical, exceptional) if canonicalize(t) == t]
 
 
+def _diagram(typ: SimpleType) -> tuple[tuple[tuple[int, int], ...], Vector]:
+    """The Dynkin diagram (Bourbaki, Plates I-IX): its edges as 0-based pairs
+    p < q in lexicographic order, and the root length d_i of each node."""
+    n, family = typ.rank, typ.family
+    edges = [(i, i + 1) for i in range(n - 1)]
+    if family == "D":  # nodes n-1 and n both hang off node n-2
+        edges[-1] = (n - 3, n - 1)
+    elif family == "E":  # 1 - 3 - 4 - 5 - ..., with node 2 hanging off node 4
+        edges[:2] = [(0, 2), (1, 3)]
+    lengths = {
+        "B": (2,) * (n - 1) + (1,),  # alpha_n is the short root
+        "C": (1,) * (n - 1) + (2,),  # alpha_n is the long root
+        "F": (2, 2, 1, 1),
+        "G": (1, 3),  # alpha_1 is the short root
+    }.get(family, (1,) * n)
+    return tuple(edges), lengths
+
+
 @lru_cache(maxsize=None)
 def cartan_matrix(typ: SimpleType) -> Matrix:
-    """The Cartan matrix in Bourbaki numbering."""
+    """The Cartan matrix in Bourbaki numbering: 2 on the diagonal, plus the bonds."""
     n = typ.rank
     a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def bond(i: int, j: int, aij: int = -1, aji: int = -1) -> None:
-        a[i - 1][j - 1] = aij
-        a[j - 1][i - 1] = aji
-
-    if typ.family == "A":
-        for i in range(1, n):
-            bond(i, i + 1)
-    elif typ.family == "B":
-        for i in range(1, n - 1):
-            bond(i, i + 1)
-        bond(n - 1, n, aij=-2)  # alpha_n is the short root
-    elif typ.family == "C":
-        for i in range(1, n - 1):
-            bond(i, i + 1)
-        bond(n - 1, n, aji=-2)  # alpha_n is the long root
-    elif typ.family == "D":
-        for i in range(1, n - 2):
-            bond(i, i + 1)
-        bond(n - 2, n - 1)
-        bond(n - 2, n)
-    elif typ.family == "E":
-        for i, j in ((1, 3), (2, 4), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8)):
-            if j <= n:
-                bond(i, j)
-    elif typ.family == "F":
-        bond(1, 2)
-        bond(2, 3, aij=-2)  # nodes 1, 2 long; nodes 3, 4 short
-        bond(3, 4)
-    else:  # G2
-        bond(1, 2, aji=-3)  # alpha_1 is the short root
+    for p, q, apq, aqp in _bonds(typ):
+        a[p][q], a[q][p] = apq, aqp
     return tuple(tuple(row) for row in a)
 
 
 @lru_cache(maxsize=None)
 def symmetrizers(typ: SimpleType) -> Vector:
-    """Minimal positive integers d with a[i][j] * d[j] == a[j][i] * d[i]."""
-    a = cartan_matrix(typ)
-    n = typ.rank
-    d: list[Fraction | None] = [None] * n
-    d[0] = Fraction(1)
-    queue = [0]
-    while queue:
-        i = queue.pop()
-        for j in range(n):
-            if j != i and a[i][j] != 0 and d[j] is None:
-                d[j] = d[i] * Fraction(a[j][i], a[i][j])
-                queue.append(j)
-    scale = lcm(*(x.denominator for x in d))
-    ints = [int(x * scale) for x in d]
-    g = gcd(*ints)
-    return tuple(x // g for x in ints)
+    """Minimal positive integers d with a[i][j] * d[j] == a[j][i] * d[i]: the root lengths."""
+    return _diagram(typ)[1]
 
 
 # Ancestry arrays, filled by positive_roots in the same pass that builds the roots.
@@ -254,6 +229,17 @@ def root_columns(typ: SimpleType) -> tuple[bytes, ...]:
 
 
 @lru_cache(maxsize=None)
+def raise_masks(typ: SimpleType) -> tuple[int, ...]:
+    """Per positive root, bit j is set when beta + alpha_(j+1) is a root.  Roots are
+    packed as in positive_roots, so adding alpha_(j+1) adds 1 << 8 * (n - 1 - j)."""
+    n = typ.rank
+    codes = [int.from_bytes(bytes(beta), "big") for beta in positive_roots(typ)]
+    known = set(codes)
+    units = [(1 << j, 1 << 8 * (n - 1 - j)) for j in range(n)]
+    return tuple(sum(bit for bit, unit in units if code + unit in known) for code in codes)
+
+
+@lru_cache(maxsize=None)
 def highest_root(typ: SimpleType) -> Vector:
     """The last positive root, which dominates every root coefficientwise."""
     return positive_roots(typ)[-1]
@@ -310,23 +296,16 @@ def inverse_cartan(typ: SimpleType) -> tuple[Matrix, int]:
     """det(C) * C^{-1} as an integer matrix, together with det(C)."""
     a = cartan_matrix(typ)
     n = typ.rank
-    aug = [
-        [Fraction(a[i][j]) for j in range(n)]
-        + [Fraction(int(i == k)) for k in range(n)]
-        for i in range(n)
-    ]
+    aug = [list(row) + [int(i == k) for k in range(n)] for i, row in enumerate(a)]
     det = Fraction(1)
+    # No row swaps: C * diag(d) is positive definite, so every leading minor of
+    # C is positive, and each pivot is a ratio of two of them.
     for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        if piv != col:
-            aug[col], aug[piv] = aug[piv], aug[col]
-            det = -det
-        det *= aug[col][col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
+        pivot = Fraction(aug[col][col])
+        det *= pivot
+        aug[col] = [x / pivot for x in aug[col]]
         for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
+            if r != col and (f := aug[r][col]):
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
     if det.denominator != 1 or det <= 0:
         raise RuntimeError(f"det(C) of {typ} is {det}, not a positive integer")
@@ -362,7 +341,7 @@ def subdiagram_components(typ: SimpleType, kept: Iterable[int]) -> tuple[Compone
     Components are listed by smallest original node.  Identification is
     structural (bond multiplicities, arrow directions, branch shapes), so
     C2 and D3 shapes come back as B2 and A3.  Adjacency is read off typ's
-    cached bond list, not a scan of the Cartan matrix.
+    cached bond list.
     """
     nodes = checked_nodes(typ, kept)
     adj: dict[int, list[int]] = {u: [] for u in nodes}
@@ -384,10 +363,10 @@ def subdiagram_components(typ: SimpleType, kept: Iterable[int]) -> tuple[Compone
 
 @lru_cache(maxsize=None)
 def _bonds(typ: SimpleType) -> tuple[tuple[int, int, int, int], ...]:
-    """Each bond of typ as (p, q, C[p][q], C[q][p]), 0-based nodes p < q."""
-    c = cartan_matrix(typ)
-    n = typ.rank
-    return tuple((p, q, c[p][q], c[q][p]) for p in range(n) for q in range(p + 1, n) if c[p][q])
+    """Each bond of typ as (p, q, C[p][q], C[q][p]), 0-based nodes p < q, with
+    both Cartan entries read off the root lengths."""
+    edges, d = _diagram(typ)
+    return tuple((p, q, -max(1, d[p] // d[q]), -max(1, d[q] // d[p])) for p, q in edges)
 
 
 @lru_cache(maxsize=None)

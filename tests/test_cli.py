@@ -5,12 +5,13 @@ import subprocess
 import sys
 import time
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
 from minorb import MAX_RANK, MAX_WEIGHT_ENTRY, dim_irrep, parse_type
 from minorb.rootsys import MAX_QUOTED
-from minorb.cli import main
+from minorb.cli import _HANDLERS, main
 
 
 def run(capsys, *argv):
@@ -223,6 +224,9 @@ def test_rank_ceilings(capsys):
         (["invariants", "Q" + "1" * 200000], f"cannot parse simple type 'Q{ones[1:]}\u2026'"),
         (["table", "2", "--max-rank", "100000"], "--max-rank must be between 1 and 32"),
         (["table", "2", "--max-rank", "33"], "--max-rank must be between 1 and 32"),
+        (["table", "2", "--max-rank", "1" * 200000], "--max-rank must be between 1 and 32"),
+        (["table", "1" * 200000], "table number must be between 2 and 5"),
+        (["table", "6", "--json"], "table number must be between 2 and 5"),
     ):
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)
@@ -261,6 +265,16 @@ def test_weight_entry_ceiling(capsys):
         f"{MAX_WEIGHT_ENTRY + 1}\n",
         "",
     )
+    # --mod has the same ceiling, and below 1 its own message
+    bound = f"error: --mod must be between -{MAX_WEIGHT_ENTRY} and {MAX_WEIGHT_ENTRY}\n"
+    start = time.perf_counter()
+    assert run(capsys, "grade", "A2", "1", "--mod", "9" * 5000) == (2, "", bound)
+    assert time.perf_counter() - start < 0.05 and len(bound) < 200
+    assert run(capsys, "grade", "A2", "1", "--mod", "0") == (
+        2,
+        "",
+        "error: --mod must be a positive integer\n",
+    )
     huge = "1" + "0" * 299
     message = (
         f"error: weight entries must be at most {MAX_WEIGHT_ENTRY} in absolute value\n"
@@ -287,6 +301,14 @@ def test_node_entry_ceiling(capsys):
     code, out, err = run(capsys, "levi", "A2", "1" * 200000)
     assert time.perf_counter() - start < 0.05
     assert (code, out, err) == (2, "", message) and len(err) < 200
+    # the single node of grade, branch and valpha has the same ceiling
+    for cmd in ("grade", "branch", "valpha"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, cmd, "A2", "1" * 200000)
+        assert time.perf_counter() - start < 0.05
+        assert (code, out) == (2, "") and len(err) < 200, cmd
+        assert err == f"error: node must be between -{MAX_RANK} and {MAX_RANK}\n", cmd
+        assert run(capsys, cmd, "A2", "5") == (2, "", "error: nodes [5] out of range for A2\n")
     assert run(capsys, "levi", "A3", f"1,{MAX_RANK + 1}") == (2, "", message)
     assert run(capsys, "levi", "A3", f"-{MAX_RANK + 1}", "--json") == (2, "", message)
     for nodes in ("0", str(MAX_RANK)):
@@ -317,6 +339,24 @@ def test_unparsable_input_is_quoted_short(capsys):
         assert (code, out) == (2, "") and err == (
             f"error: {message}; expected comma-separated integers\n"
         ), argv[:2]
+
+
+# `minorb --help` and every subcommand's, at 80 columns, taken while argparse
+# still read the integer arguments itself.
+HELP = json.loads((Path(__file__).parent / "help.json").read_text())
+
+
+def test_help_covers_every_subcommand():
+    assert list(HELP) == ["minorb", *_HANDLERS]
+
+
+@pytest.mark.parametrize("command", HELP)
+def test_help_text(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as stop:
+        main(["--help"] if command == "minorb" else [command, "--help"])
+    assert stop.value.code == 0
+    assert capsys.readouterr() == (HELP[command], "")
 
 
 def test_module_entry_point():

@@ -332,6 +332,23 @@ def test_root_ancestry_fingerprint(name):
     assert sha256(repr(arrays).encode()).hexdigest() == ANCESTRY_FINGERPRINTS[name]
 
 
+# sha256 of repr((cartan_matrix(t), symmetrizers(t))), taken while each family
+# wrote its Cartan matrix by arrow cases and symmetrizers came from a Fraction
+# walk over it; C2 and D3 are pinned in their own numbering too.
+CARTAN_FINGERPRINTS = json.loads((Path(__file__).parent / "cartan_sha256.json").read_text())
+
+
+def test_cartan_fingerprints_cover_the_inventory():
+    assert list(CARTAN_FINGERPRINTS) == [*FINGERPRINTS, "C2", "D3"]
+
+
+@pytest.mark.parametrize("name", CARTAN_FINGERPRINTS)
+def test_cartan_and_symmetrizers_fingerprint(name):
+    typ = SimpleType(name[0], int(name[1:]))
+    data = (cartan_matrix(typ), symmetrizers(typ))
+    assert sha256(repr(data).encode()).hexdigest() == CARTAN_FINGERPRINTS[name]
+
+
 @pytest.mark.parametrize("typ", MID_TYPES, ids=str)
 def test_positive_roots_are_positive_and_distinct(typ):
     roots = positive_roots(typ)

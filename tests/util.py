@@ -2,17 +2,20 @@
 and the second routes that the tests compare with the library."""
 
 from collections import Counter
-from itertools import permutations
+from itertools import combinations, permutations
 
 from minorb import (
+    BoundCertificate,
     Component,
     SimpleType,
     canonicalize,
     cartan_matrix,
+    compute_r,
     dim_irrep,
     dim_simple,
     positive_roots,
     subdiagram_components,
+    sukhanov_refined,
     table_types,
 )
 from minorb.rootsys import checked_nodes
@@ -80,6 +83,28 @@ def grade_counts(typ: SimpleType) -> list[Counter]:
 def direct_dim_u(typ: SimpleType, removed) -> int:
     """dim u counted root by root: the positive roots involving a removed node."""
     return sum(any(beta[i - 1] for i in removed) for beta in positive_roots(typ))
+
+
+def d_by_sweep(typ: SimpleType) -> tuple[int, tuple[BoundCertificate, ...]]:
+    """d and its attaining certificates, with the crude bound at every support.
+
+    compute_d evaluates the crude bound dim u(S) + 2 on pairs only, because
+    dim u(S) rises strictly with S.  This route sweeps all 2^rank supports of
+    two or more nodes and counts each dim u(S) root by root, so it checks
+    both that argument and the masks.  It returns compute_d's first two
+    fields, in its evaluation order.
+    """
+    typ = canonicalize(typ)
+    n = typ.rank
+    r = compute_r(typ)
+    candidates = [BoundCertificate("reductive", (), r.r, f"H = {r.witness}")]
+    candidates += [sukhanov_refined(typ, i) for i in range(1, n + 1)]
+    for size in range(2, n + 1):
+        for nodes in combinations(range(1, n + 1), size):
+            u = direct_dim_u(typ, nodes)
+            candidates.append(BoundCertificate("crude", nodes, u + 2, f"dim u(S) + 2 = {u} + 2"))
+    d = min(c.value for c in candidates)
+    return d, tuple(c for c in candidates if c.value == d)
 
 
 def hilbert_degree(typ: SimpleType, weight) -> int:
