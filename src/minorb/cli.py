@@ -32,6 +32,7 @@ from .parabolic import (
 )
 from .repdim import dim_irrep, dual_weight
 from .rootsys import (
+    MAX_QUOTED,
     MAX_RANK,
     MAX_WEIGHT_ENTRY,
     SimpleType,
@@ -389,13 +390,22 @@ _HANDLERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse that raises its errors as ValueError, so main reports them like
+    any other input error, with each word longer than MAX_QUOTED clipped."""
+
+    def error(self, message):
+        long_word = rf"[^\s']{{{MAX_QUOTED + 1},}}"  # quote marks stay outside
+        raise ValueError(re.sub(long_word, lambda m: clipped(m[0]), message))
+
+
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--json", action="store_true", help="emit a one-line JSON envelope"
     )
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="minorb",
         description="Exact root-system combinatorics and minimal-orbit invariants.",
     )
@@ -443,9 +453,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     with _all_digits():
         try:
+            args = _build_parser().parse_args(argv)
             typ = None if args.command == "table" else _typ(args.type)
             payload, text = _HANDLERS[args.command](typ, args)
         except ValueError as err:

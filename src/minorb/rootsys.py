@@ -14,6 +14,10 @@ of Dynkin subdiagrams.  Conventions fixed once, for every other module:
   ``d_i`` of each node: the symmetrizers, minimal positive integers making
   ``cartan * diag(d)`` symmetric.  A bond p - q has Cartan entries
   ``C[p][q] = -max(1, d_p // d_q)`` and ``C[q][p] = -max(1, d_q // d_p)``.
+* ``inverse_cartan`` eliminates in integers (Bareiss 1968): every entry met is
+  a minor of ``[C | I]`` (Sylvester's identity), so each division is exact;
+  each pivot is a leading minor of ``C``, positive as ``C * diag(d)`` is
+  positive definite, so no row needs a swap.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from __future__ import annotations
 import re
 from array import array
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, permutations
 from operator import index
@@ -293,26 +296,23 @@ def root_to_weight(typ: SimpleType, root: Vector) -> Vector:
 
 @lru_cache(maxsize=None)
 def inverse_cartan(typ: SimpleType) -> tuple[Matrix, int]:
-    """det(C) * C^{-1} as an integer matrix, together with det(C)."""
-    a = cartan_matrix(typ)
+    """det(C) * C^{-1} as an integer matrix, and det(C), the last pivot of a
+    fraction-free Gauss-Jordan elimination on [C | I]: at pivot k every row
+    r != k becomes (p_k * row_r - C[r][k] * row_k) // p_(k-1), with p_(-1) = 1."""
     n = typ.rank
-    aug = [list(row) + [int(i == k) for k in range(n)] for i, row in enumerate(a)]
-    det = Fraction(1)
-    # No row swaps: C * diag(d) is positive definite, so every leading minor of
-    # C is positive, and each pivot is a ratio of two of them.
-    for col in range(n):
-        pivot = Fraction(aug[col][col])
-        det *= pivot
-        aug[col] = [x / pivot for x in aug[col]]
-        for r in range(n):
-            if r != col and (f := aug[r][col]):
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    if det.denominator != 1 or det <= 0:
-        raise RuntimeError(f"det(C) of {typ} is {det}, not a positive integer")
-    rows = tuple(tuple(x * det for x in row[n:]) for row in aug)
-    if any(x.denominator != 1 for row in rows for x in row):
-        raise RuntimeError(f"det(C) * C^-1 of {typ} is not an integer matrix")
-    return tuple(tuple(int(x) for x in row) for row in rows), int(det)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(cartan_matrix(typ))]
+    prev = 1
+    for k, pivot_row in enumerate(aug):
+        if (p := pivot_row[k]) <= 0:
+            raise RuntimeError(f"leading minor {k + 1} of the Cartan matrix of {typ} is {p} <= 0")
+        for r, row in enumerate(aug):
+            if r != k:
+                new = [p * x - row[k] * y for x, y in zip(row, pivot_row)]
+                if any(x % prev for x in new):
+                    raise RuntimeError(f"leading minor {k} of {typ} divides with a remainder")
+                aug[r] = [x // prev for x in new]
+        prev = p
+    return tuple(tuple(row[n:]) for row in aug), prev
 
 
 @dataclass(frozen=True)

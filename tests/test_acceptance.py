@@ -7,12 +7,15 @@ Each test prints one PASS line on completion (visible with -s).
 The variety-level theorems surrounding the tables are out of
 computational scope; their quantitative shadows, the thresholds 2n-2
 for SL_n and 4n-4 for Sp_2n, equal the d values and are checked as
-criterion 9.
+criterion 9.  The abstract's list of types whose small-dimensional
+varieties are all small is the list of types with m < d, criterion 10,
+and its SL_n corollary is checked from Weyl dimensions alone.
 """
 
 from itertools import combinations
 
 from minorb import (
+    SimpleType,
     branch_adjoint,
     compute_d,
     compute_m,
@@ -29,10 +32,11 @@ from minorb import (
     parse_type,
     positive_roots,
     root_to_weight,
+    table_types,
 )
-from minorb.cli import main as cli_main
+from minorb.cli import MAX_TABLE_RANK, main as cli_main
 
-from util import d_by_sweep, dim_u_by_accounting
+from util import d_by_sweep, dim_u_by_accounting, modules_below
 
 TYPES = (
     [parse_type(f"A{n}") for n in range(1, 13)]
@@ -261,3 +265,27 @@ def test_criterion_9_threshold_shadows():
     for n in range(2, 13):
         assert compute_d(parse_type(f"C{n}")).d == 4 * n - 4
     report(9, "threshold shadows 2n-2 and 4n-4 match d")
+
+
+def test_criterion_10_abstract_type_list():
+    """m < d exactly on the abstract's A_n (n >= 2), C_n (n >= 3), E6, E7 and
+    E8; every other type has m = d."""
+    ceiling = [SimpleType(f, 64) for f in "ABCD"]
+    for typ in table_types(MAX_TABLE_RANK) + ceiling:
+        m, d = compute_m(typ).m, compute_d(typ).d
+        # the C family of table_types starts at C3: C2 is listed as B2
+        in_list = typ.family in "CE" or (typ.family == "A" and typ.rank >= 2)
+        assert (m < d) == in_list and m <= d, (typ, m, d)
+    report(10, "m < d exactly on A_n (n>=2), C_n (n>=3), E6, E7, E8")
+
+
+def test_sl_n_corollary():
+    """For SL_n, n = 3 and n >= 5, the only nontrivial modules of dimension
+    below 2n are the natural module and its dual.  The exceptions are SL_2's
+    adjoint module S^2 (dim 3 < 4) and SL_4's exterior square (dim 6 < 8)."""
+    for n in range(2, 65):
+        typ = parse_type(f"A{n - 1}")
+        natural = (fund(typ, 1), fund(typ, n - 1))
+        extra = {2: [(2,)], 4: [(0, 1, 0)]}.get(n, [])
+        assert modules_below(typ, 2 * n) == sorted({(0,) * (n - 1), *natural, *extra}), n
+    print("PASS SL_n corollary: below dim 2n only the natural module and its dual, n = 3, n >= 5")

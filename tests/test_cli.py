@@ -341,6 +341,36 @@ def test_unparsable_input_is_quoted_short(capsys):
         ), argv[:2]
 
 
+@pytest.mark.parametrize(
+    "argv, quoted",
+    [
+        (["x" * 200000], f"invalid choice: '{'x' * MAX_QUOTED}\u2026' (choose from "),
+        (["cartan", "A2", "y" * 200000], f"unrecognized arguments: {'y' * MAX_QUOTED}\u2026\n"),
+        (["cartan", "A2", "--json=" + "z" * 200000], f"explicit argument '{'z' * MAX_QUOTED}\u2026'\n"),
+    ],
+    ids=["command", "extra argument", "flag value"],
+)
+def test_argparse_errors_are_clipped_and_return_2(capsys, argv, quoted):
+    """argparse's own errors return 2 through main, like every input error,
+    and quote an over-long argument by its first MAX_QUOTED characters."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and err.startswith("error: ")
+    assert quoted in err and len(err.encode()) < 1000
+
+
+def test_argparse_errors_of_normal_size_stay_whole(capsys):
+    code, out, err = run(capsys, "frob")
+    choices = ", ".join(f"'{c}'" for c in _HANDLERS)
+    assert (code, out) == (2, "")
+    assert err == f"error: argument command: invalid choice: 'frob' (choose from {choices})\n"
+    assert run(capsys) == (2, "", "error: the following arguments are required: command\n")
+    assert run(capsys, "dim", "A2") == (
+        2,
+        "",
+        "error: the following arguments are required: weight\n",
+    )
+
+
 # `minorb --help` and every subcommand's, at 80 columns, taken while argparse
 # still read the integer arguments itself.
 HELP = json.loads((Path(__file__).parent / "help.json").read_text())

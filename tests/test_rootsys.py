@@ -2,7 +2,7 @@
 
 Pinned matrices come from the published computer-algebra transcript for E8;
 everything else is checked against independent oracles: closed-form algebra
-dimensions, a local fraction-free inversion, and hand-enumerated small systems.
+dimensions, a local inversion over Fraction, and hand-enumerated small systems.
 """
 
 import json
@@ -29,6 +29,7 @@ from minorb import (
     symmetrizers,
     table_types,
 )
+from minorb import rootsys
 from minorb.rootsys import root_ancestry
 from util import ALL_TYPES, MID_TYPES, components_by_matrix, dim_closed_form
 
@@ -349,6 +350,21 @@ def test_cartan_and_symmetrizers_fingerprint(name):
     assert sha256(repr(data).encode()).hexdigest() == CARTAN_FINGERPRINTS[name]
 
 
+# sha256 of repr(inverse_cartan(t)) for the same names, taken while
+# inverse_cartan ran Gauss-Jordan elimination over Fraction.
+ICARTAN_FINGERPRINTS = json.loads((Path(__file__).parent / "icartan_sha256.json").read_text())
+
+
+def test_icartan_fingerprints_cover_the_inventory():
+    assert list(ICARTAN_FINGERPRINTS) == list(CARTAN_FINGERPRINTS)
+
+
+@pytest.mark.parametrize("name", ICARTAN_FINGERPRINTS)
+def test_inverse_cartan_fingerprint(name):
+    scaled = inverse_cartan(SimpleType(name[0], int(name[1:])))
+    assert sha256(repr(scaled).encode()).hexdigest() == ICARTAN_FINGERPRINTS[name]
+
+
 @pytest.mark.parametrize("typ", MID_TYPES, ids=str)
 def test_positive_roots_are_positive_and_distinct(typ):
     roots = positive_roots(typ)
@@ -424,6 +440,18 @@ def test_inverse_cartan_a3_against_local_elimination():
     assert det == 4
     inv = frac_inverse(cartan_matrix(SimpleType("A", 3)))
     assert mat == tuple(tuple(int(x * det) for x in row) for row in inv)
+
+
+@pytest.mark.parametrize(
+    "matrix", [((2, -2), (-2, 2)), ((2, -3), (-3, 2))], ids=["affine A1", "indefinite"]
+)
+def test_inverse_cartan_refuses_a_nonpositive_leading_minor(monkeypatch, matrix):
+    """The singular affine A1 matrix and an indefinite one have leading minor 2
+    equal to 0 and -5: the elimination raises RuntimeError, not an assert that
+    python -O would drop."""
+    monkeypatch.setattr(rootsys, "cartan_matrix", lambda typ: matrix)
+    with pytest.raises(RuntimeError, match="leading minor 2 of the Cartan matrix of A2 is"):
+        inverse_cartan.__wrapped__(SimpleType("A", 2))
 
 
 @pytest.mark.parametrize("typ", ALL_TYPES, ids=str)

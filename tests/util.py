@@ -124,6 +124,25 @@ def hilbert_degree(typ: SimpleType, weight) -> int:
     return degree
 
 
+def modules_below(typ: SimpleType, bound: int) -> list[tuple[int, ...]]:
+    """Every dominant weight whose irreducible module has dimension below bound.
+
+    A search up from 0 that adds one fundamental weight per step and stops at
+    any weight with dim V(lambda) >= bound.  Stopping there loses nothing:
+    dim V(lambda + omega_i) > dim V(lambda), because in Weyl's product every
+    factor <lambda + rho, beta^vee> / <rho, beta^vee> grows or stays, and
+    the one of alpha_i grows.  Every dominant weight is a sum of fundamental
+    weights, so each one below bound is met.
+    """
+    zero = (0,) * typ.rank
+    found, layer = {zero}, [zero]
+    while layer:
+        ups = {w[:i] + (w[i] + 1,) + w[i + 1 :] for w in layer for i in range(typ.rank)}
+        layer = [w for w in ups - found if dim_irrep(typ, w) < bound]
+        found.update(layer)
+    return sorted(found)
+
+
 def components_by_matrix(typ: SimpleType, kept) -> tuple[Component, ...]:
     """Subdiagram components named by whole induced Cartan matrices.
 
