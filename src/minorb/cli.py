@@ -391,12 +391,21 @@ _HANDLERS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that raises its errors as ValueError, so main reports them like
-    any other input error, with each word longer than MAX_QUOTED clipped."""
+    """argparse that raises its errors as ValueError, for main to report."""
 
     def error(self, message):
-        long_word = rf"[^\s']{{{MAX_QUOTED + 1},}}"  # quote marks stay outside
-        raise ValueError(re.sub(long_word, lambda m: clipped(m[0]), message))
+        raise ValueError(message)
+
+
+def _clip_arguments(message: str, argv: list[str]) -> str:
+    """message with each argument longer than MAX_QUOTED cut by clipped, found raw
+    or as its repr body; the VALUE of --opt=VALUE or -oVALUE counts as one too."""
+    texts = [arg for arg in argv if len(arg) > MAX_QUOTED]
+    texts += [v for arg in texts if arg[0] == "-" for v in (arg.partition("=")[2], arg[2:])]
+    for text in sorted(texts, key=len, reverse=True):  # an argument before its value
+        for form in (repr(text)[1:-1], text):  # the escaped form may contain the raw
+            message = message.replace(form, clipped(form))
+    return message
 
 
 @cache
@@ -453,13 +462,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     with _all_digits():
         try:
             args = _build_parser().parse_args(argv)
             typ = None if args.command == "table" else _typ(args.type)
             payload, text = _HANDLERS[args.command](typ, args)
         except ValueError as err:
-            print(f"error: {err}", file=sys.stderr)
+            print(f"error: {_clip_arguments(str(err), argv)}", file=sys.stderr)
             return 2
         if args.json:
             envelope = {

@@ -7,7 +7,10 @@ the maximal parabolic at i; as a module over the semisimple Levi its
 lowest weight vector is the root vector of alpha_i itself, so the
 lowest weight is read off the Cartan row of i restricted to the kept
 components.  branch_adjoint refines the grading into irreducible
-summands by locating the maximal root vectors of each grade.
+summands.  At a maximal parabolic every grade g_k with k >= 1 is one
+irreducible Levi module (Azad, Barry and Seitz, "On the structure of
+parabolic subgroups", Comm. Algebra 18 (1990)), so its highest weight is
+read off its highest root: the last root of grade k in root order.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from .rootsys import (
     dim_simple,
     highest_root,
     positive_roots,
-    raise_masks,
     root_columns,
     root_to_weight,
 )
@@ -111,20 +113,18 @@ def branch_adjoint(typ: SimpleType, node: int) -> BranchReport:
     """Irreducible summands of every nonnegative grade over the Levi.
 
     Grade zero is the Levi itself: the adjoint of each kept component
-    plus a one-dimensional center line.  For k >= 1 the summands are
-    generated by the roots of grade k that no kept node can raise, and
-    their highest weights are those roots restricted to the components.
-    A root is such a top when its raise mask (see rootsys.raise_masks)
-    shares no bit with the kept nodes: one mask test per root.  Negative
-    grades are the duals of the positive ones and are omitted.
+    plus a one-dimensional center line.  For k >= 1 the grade is one
+    irreducible module (Azad-Barry-Seitz 1990), so its highest weight is
+    its highest root, the last root of grade k in positive_roots order,
+    restricted to the components.  RuntimeError if that module's Weyl
+    dimension differs from the grade's root count.  Negative grades are
+    the duals of the positive ones and are omitted.
     """
     (node,) = checked_nodes(typ, [node])
-    levi = levi_data(typ, [node])
-    comps = levi.components
+    comps = levi_data(typ, [node]).components
     pos = positive_roots(typ)
-    raises = raise_masks(typ)
     ix = node - 1
-    kept_mask = ((1 << typ.rank) - 1) ^ (1 << ix)
+    col = root_columns(typ)[ix]
     max_grade = highest_root(typ)[ix]
 
     zero = []
@@ -137,15 +137,15 @@ def branch_adjoint(typ: SimpleType, node: int) -> BranchReport:
         zero.append(BranchSummand(weights, dim_simple(comp.typ)))
     zero.append(BranchSummand(tuple((0,) * c.typ.rank for c in comps), 1, torus=True))
 
-    # positive_roots ascends by (height, root), so one walk down it meets
-    # each grade's tops from the highest.
-    summands = {k: [] for k in range(1, max_grade + 1)}
-    for beta, up in zip(reversed(pos), reversed(raises)):
-        if not beta[ix] or up & kept_mask:
-            continue
-        m = root_to_weight(typ, beta)
+    grades = {0: tuple(zero)}
+    for k in range(1, max_grade + 1):
+        # positive_roots ascends by height, so a grade's last root is its top
+        m = root_to_weight(typ, pos[col.rindex(k)])
         weights = tuple(tuple(m[orig - 1] for orig in comp.nodes) for comp in comps)
         dim = dim_irrep_product((comp.typ, w) for comp, w in zip(comps, weights))
-        summands[beta[ix]].append(BranchSummand(weights, dim))
-    grades = {0: tuple(zero)} | {k: tuple(s) for k, s in summands.items()}
+        if dim != (size := col.count(k)):
+            raise RuntimeError(
+                f"grade {k} of {typ} at node {node} has {size} roots, its top dimension {dim}"
+            )
+        grades[k] = (BranchSummand(weights, dim),)
     return BranchReport(typ, node, grades, max_grade)

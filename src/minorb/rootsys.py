@@ -232,17 +232,6 @@ def root_columns(typ: SimpleType) -> tuple[bytes, ...]:
 
 
 @lru_cache(maxsize=None)
-def raise_masks(typ: SimpleType) -> tuple[int, ...]:
-    """Per positive root, bit j is set when beta + alpha_(j+1) is a root.  Roots are
-    packed as in positive_roots, so adding alpha_(j+1) adds 1 << 8 * (n - 1 - j)."""
-    n = typ.rank
-    codes = [int.from_bytes(bytes(beta), "big") for beta in positive_roots(typ)]
-    known = set(codes)
-    units = [(1 << j, 1 << 8 * (n - 1 - j)) for j in range(n)]
-    return tuple(sum(bit for bit, unit in units if code + unit in known) for code in codes)
-
-
-@lru_cache(maxsize=None)
 def highest_root(typ: SimpleType) -> Vector:
     """The last positive root, which dominates every root coefficientwise."""
     return positive_roots(typ)[-1]

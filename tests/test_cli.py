@@ -347,12 +347,18 @@ def test_unparsable_input_is_quoted_short(capsys):
         (["x" * 200000], f"invalid choice: '{'x' * MAX_QUOTED}\u2026' (choose from "),
         (["cartan", "A2", "y" * 200000], f"unrecognized arguments: {'y' * MAX_QUOTED}\u2026\n"),
         (["cartan", "A2", "--json=" + "z" * 200000], f"explicit argument '{'z' * MAX_QUOTED}\u2026'\n"),
+        (["x " * 100000], f"invalid choice: '{'x ' * (MAX_QUOTED // 2)}\u2026' (choose from "),
+        (["cartan", "A2", "y " * 100000], f"unrecognized arguments: {'y ' * (MAX_QUOTED // 2)}\u2026\n"),
+        (["it's " * 50000], 'invalid choice: "' + ("it's " * 20)[:MAX_QUOTED] + '\u2026" (choose from '),
+        (["cartan", "A2", "-h" + "z' " * 100000], 'argument "' + ("z' " * 20)[:MAX_QUOTED] + '\u2026"\n'),
     ],
-    ids=["command", "extra argument", "flag value"],
+    ids=["command", "extra argument", "flag value", "command with spaces",
+         "extra argument with spaces", "command with a quote mark", "short flag value"],
 )
 def test_argparse_errors_are_clipped_and_return_2(capsys, argv, quoted):
     """argparse's own errors return 2 through main, like every input error,
-    and quote an over-long argument by its first MAX_QUOTED characters."""
+    and quote an over-long argument by its first MAX_QUOTED characters, also
+    one with spaces or quote marks inside."""
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "") and err.startswith("error: ")
     assert quoted in err and len(err.encode()) < 1000

@@ -3,6 +3,7 @@
 import pytest
 
 from minorb import (
+    MAX_RANK,
     SimpleType,
     branch_adjoint,
     dim_simple,
@@ -16,6 +17,7 @@ from minorb import (
     root_to_weight,
     table_types,
 )
+from minorb.repdim import dim_irrep_product
 
 from util import MID_TYPES
 
@@ -125,8 +127,11 @@ def test_branch_symplectic_node1(n):
     assert [s.dim for s in rep.grades[2]] == [1]
 
 
-@pytest.mark.parametrize("typ", MID_TYPES, ids=str)
+@pytest.mark.parametrize(
+    "typ", MID_TYPES + [SimpleType(f, MAX_RANK) for f in "ABCD"], ids=str
+)
 def test_branch_totals(typ):
+    """Each positive grade is one summand of the grade's dimension."""
     for node in range(1, typ.rank + 1):
         rep = branch_adjoint(typ, node)
         grading = grade_adjoint(typ, node)
@@ -135,6 +140,27 @@ def test_branch_totals(typ):
             assert sum(s.dim for s in summands) == grading.dims[k]
             torus_lines = [s for s in summands if s.torus]
             assert len(torus_lines) == (1 if k == 0 else 0)
+            if k:
+                assert [s.dim for s in summands] == [grading.dims[k]], (node, k)
+
+
+@pytest.mark.parametrize("typ", table_types(12), ids=str)
+def test_grade_one_top_matches_v_alpha(typ):
+    """The grade-one summand against V(alpha_i) from the Cartan row and
+    dual_weight: same highest weights, same Weyl dimension."""
+    for node in range(1, typ.rank + 1):
+        (top,) = branch_adjoint(typ, node).grades[1]
+        data = lowest_weight_of_v_alpha(typ, node)
+        assert (data.highest, data.dim) == (top.weights, top.dim), node
+
+
+def test_branch_refuses_a_summand_of_the_wrong_dimension(monkeypatch):
+    """A top whose Weyl dimension misses its grade's root count is an error."""
+    monkeypatch.setattr(
+        "minorb.grading.dim_irrep_product", lambda parts: dim_irrep_product(parts) + 1
+    )
+    with pytest.raises(RuntimeError, match=r"^grade 1 of E8 at node 7 "):
+        branch_adjoint(parse_type("E8"), 7)
 
 
 @pytest.mark.parametrize(
