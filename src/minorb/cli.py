@@ -46,8 +46,9 @@ from .rootsys import (
 )
 
 
-# Largest --max-rank of `table`: `table 2 --max-rank 32` takes about 0.7 s
-# (median of six cold processes, 2 vCPU, Python 3.11.7).
+# Largest --max-rank of `table`: `table 2 --max-rank 32 --json` takes about
+# 0.65 s (median of nine cold processes, 2-vCPU VM, Python 3.11.7; the VM's
+# speed drifts by up to 2x).
 MAX_TABLE_RANK = 32
 
 

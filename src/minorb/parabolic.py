@@ -76,6 +76,16 @@ def dim_u(typ: SimpleType, removed: Iterable[int]) -> int:
 
 
 def levi_data(typ: SimpleType, removed: Iterable[int]) -> LeviData:
+    """The Levi factor and nilradical of the parabolic that removes the given nodes.
+
+    ``removed`` is sorted and without duplicates (ValueError for a node out
+    of range); ``kept`` is every other node, in increasing order.  The
+    components of the kept subdiagram come by smallest node, each named by
+    subdiagram_components: its canonical type, and the largest tuple of
+    nodes that carries that type's Bourbaki labeling onto the kept
+    bonds.  dim_levi_ss sums the components' dimensions, and dim_u is the
+    popcount of the union of the removed nodes' support masks.
+    """
     rem = checked_nodes(typ, removed)
     kept = tuple(i for i in range(1, typ.rank + 1) if i not in rem)
     components = subdiagram_components(typ, kept)

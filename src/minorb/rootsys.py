@@ -33,13 +33,14 @@ from typing import Iterable
 Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]
 
-# Largest rank parse_type accepts: `minorb invariants D64` takes about 1 s
-# (cold process, 2 vCPU, Python 3.11).  SimpleType itself is unbounded, so
-# library callers may go higher.
+# Largest rank parse_type accepts: `minorb invariants D64 --json` takes about
+# 1.5 s (median of nine cold processes, 2-vCPU VM, Python 3.11.7; the VM's
+# speed drifts by up to 2x).  SimpleType itself is unbounded, so library
+# callers may go higher.
 MAX_RANK = 64
 # Largest weight entry, in absolute value, that the command line accepts:
 # `minorb minorbit D64` with every entry at the ceiling prints a 36,289-digit
-# dimension in about 0.2 s, measured the same way.
+# dimension in about 0.27 s, measured the same way.
 MAX_WEIGHT_ENTRY = 10**9
 # Longest user text an error message quotes in full.
 MAX_QUOTED = 60
@@ -275,12 +276,19 @@ def _integers(values: Iterable[int], what: str) -> Vector:
 
 
 def root_to_weight(typ: SimpleType, root: Vector) -> Vector:
-    """Fundamental-weight coordinates of a simple-root coordinate vector."""
-    a = cartan_matrix(typ)
+    """Fundamental-weight coordinates of a simple-root coordinate vector.
+
+    Entry i is the sum over j of C[j][i] * root[j]: 2 * root[i] from the
+    diagonal, plus one term per bond end, so the cost is O(n).
+    """
     n = typ.rank
     if len(root) != n:
         raise ValueError(f"expected {n} coordinates, got {len(root)}")
-    return tuple(sum(a[j][i] * root[j] for j in range(n)) for i in range(n))
+    out = [2 * c for c in root]
+    for p, q, apq, aqp in _bonds(typ):
+        out[q] += apq * root[p]
+        out[p] += aqp * root[q]
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -330,23 +338,36 @@ def subdiagram_components(typ: SimpleType, kept: Iterable[int]) -> tuple[Compone
     Components are listed by smallest original node.  Identification is
     structural (bond multiplicities, arrow directions, branch shapes), so
     C2 and D3 shapes come back as B2 and A3.  Adjacency is read off typ's
-    cached bond list.
+    cached bond list.  A component's nodes in increasing order are its
+    positions 0..k-1, and its shape is k plus its bonds between positions;
+    _identify names each shape once and returns the labeling as positions,
+    which are mapped back to nodes here.
     """
     nodes = checked_nodes(typ, kept)
     adj: dict[int, list[int]] = {u: [] for u in nodes}
-    for p, q, _, _ in _bonds(typ):
+    bonds = []
+    for p, q, apq, aqp in _bonds(typ):
         if p + 1 in adj and q + 1 in adj:
             adj[p + 1].append(q + 1)
             adj[q + 1].append(p + 1)
-    a = cartan_matrix(typ)
-    left, out = set(nodes), []
+            bonds.append((p + 1, q + 1, apq, aqp))
+    which: dict[int, int] = {}  # node -> index of its component
+    comps: list[list[int]] = []
     for start in nodes:
-        if start in left:
+        if start not in which:
             comp = [start]
-            for u in comp:  # a tree: u's parent has left, its children have not
-                left.remove(u)
-                comp += [v for v in adj[u] if v in left]
-            out.append(_identify(comp, adj, a))
+            for u in comp:  # a tree: u's parent is placed, its children are not
+                which[u] = len(comps)
+                comp += [v for v in adj[u] if v not in which]
+            comps.append(sorted(comp))
+    pos = {u: i for comp in comps for i, u in enumerate(comp)}
+    shapes: list[list[tuple[int, int, int, int]]] = [[] for _ in comps]
+    for p, q, apq, aqp in bonds:  # sorted, as bonds come sorted and positions rise with nodes
+        shapes[which[p]].append((pos[p], pos[q], apq, aqp))
+    out = []
+    for comp, shape in zip(comps, shapes):
+        ctyp, order = _identify(len(comp), tuple(shape))
+        out.append(Component(ctyp, tuple(comp[i] for i in order)))
     return tuple(out)
 
 
@@ -365,13 +386,25 @@ def _shapes(k: int, fork: bool) -> tuple[SimpleType, ...]:
     return tuple(dict.fromkeys(canonicalize(SimpleType(f, k)) for f in families if _is_type(f, k)))
 
 
-def _identify(comp: list[int], adj: dict[int, list[int]], a: Matrix) -> Component:
-    """Name a component by its shape and pick its largest Bourbaki labeling: each
-    candidate walk is checked on the k - 1 bonds of each type of its size and shape."""
-    k = len(comp)
-    center = next((u for u in comp if len(adj[u]) == 3), None)
+@lru_cache(maxsize=None)
+def _identify(k: int, bonds: tuple[tuple[int, int, int, int], ...]) -> tuple[SimpleType, Vector]:
+    """Name a component shape and pick its largest Bourbaki labeling, as positions.
+
+    The shape is k positions and its bonds (i, j, C[i][j], C[j][i]), i < j,
+    so no node number enters the cache key.  Each candidate walk is checked
+    on the k - 1 bonds of each type of its size and shape.  Positions rise
+    with node numbers, so the largest walk over positions is the largest
+    over nodes.
+    """
+    adj: list[list[int]] = [[] for _ in range(k)]
+    entries: dict[tuple[int, int], int] = {}
+    for p, q, apq, aqp in bonds:
+        adj[p].append(q)
+        adj[q].append(p)
+        entries[p, q], entries[q, p] = apq, aqp
+    center = next((u for u in range(k) if len(adj[u]) == 3), None)
     if center is None:
-        line = _arm(next(u for u in comp if len(adj[u]) <= 1), None, adj)
+        line = _arm(next(u for u in range(k) if len(adj[u]) <= 1), None, adj)
         walks = [line, line[::-1]]
     else:
         walks = []
@@ -381,15 +414,15 @@ def _identify(comp: list[int], adj: dict[int, list[int]], a: Matrix) -> Componen
                 walks.append([x[1], y[0], x[0], center] + z)
     for ctyp in _shapes(k, center is not None):
         fits = [w for w in walks if all(
-            a[w[p] - 1][w[q] - 1] == x and a[w[q] - 1][w[p] - 1] == y
+            entries.get((w[p], w[q])) == x and entries.get((w[q], w[p])) == y
             for p, q, x, y in _bonds(ctyp)
         )]
         if fits:
-            return Component(ctyp, tuple(max(fits)))
+            return ctyp, tuple(max(fits))
     raise RuntimeError("not a Dynkin diagram component")
 
 
-def _arm(start: int, prev: int | None, adj: dict[int, list[int]]) -> list[int]:
+def _arm(start: int, prev: int | None, adj: list[list[int]]) -> list[int]:
     """The nodes met walking from start away from prev until the chain ends."""
     path = [start]
     while nxt := [v for v in adj[path[-1]] if v != prev]:

@@ -16,6 +16,7 @@ import pytest
 
 from minorb import (
     MAX_RANK,
+    Component,
     SimpleType,
     canonicalize,
     cartan_matrix,
@@ -31,7 +32,7 @@ from minorb import (
 )
 from minorb import rootsys
 from minorb.rootsys import root_ancestry
-from util import ALL_TYPES, MID_TYPES, components_by_matrix, dim_closed_form
+from util import ALL_TYPES, MID_TYPES, components_by_matrix, dim_closed_form, weight_by_matrix
 
 E6, E7, E8 = SimpleType("E", 6), SimpleType("E", 7), SimpleType("E", 8)
 F4, G2 = SimpleType("F", 4), SimpleType("G", 2)
@@ -408,13 +409,13 @@ def test_highest_root_e8():
     assert highest_root(E8) == (2, 3, 4, 6, 5, 4, 3, 2)
 
 
-@pytest.mark.parametrize("typ", MID_TYPES, ids=str)
+@pytest.mark.parametrize(
+    "typ", ALL_TYPES + [SimpleType(f, 40) for f in "ABCD"], ids=str
+)
 def test_root_to_weight_matches_transposed_cartan(typ):
-    a = cartan_matrix(typ)
-    n = typ.rank
+    """The bond-list route agrees with the dense Cartan product on every positive root."""
     for beta in positive_roots(typ):
-        m = root_to_weight(typ, beta)
-        assert m == tuple(sum(a[j][i] * beta[j] for j in range(n)) for i in range(n))
+        assert root_to_weight(typ, beta) == weight_by_matrix(typ, beta)
 
 
 def test_root_to_weight_simple_root_is_cartan_row():
@@ -579,6 +580,31 @@ def test_bond_naming_matches_whole_matrices_exceptional(typ):
     for mask in range(1 << typ.rank):
         kept = [i for i in range(1, typ.rank + 1) if mask >> (i - 1) & 1]
         assert subdiagram_components(typ, kept) == components_by_matrix(typ, kept), kept
+
+
+def test_component_cache_key_holds_no_node_numbers():
+    """Every window of k consecutive nodes of A64 is the same shape, the A_k
+    chain, so labeling all of them adds exactly one cache entry per k."""
+    a64 = SimpleType("A", 64)
+    rootsys._identify.cache_clear()
+    for k in range(1, 65):
+        for s in range(1, 66 - k):
+            window = range(s, s + k)
+            want = Component(SimpleType("A", k), tuple(window)[::-1])
+            assert subdiagram_components(a64, window) == (want,)
+        assert rootsys._identify.cache_info().currsize == k
+
+
+def test_component_shapes_shared_across_types_never_collide():
+    """From a cold cache, every node subset of five types whose subdiagrams
+    share shapes (chains of single bonds, B and C ends, forks) is named as the
+    whole-matrix route names it, so no two shapes meet in one cache key."""
+    rootsys._identify.cache_clear()
+    for typ in [SimpleType("B", 5), SimpleType("C", 5), F4, SimpleType("D", 5), E6]:
+        for mask in range(1 << typ.rank):
+            kept = [i for i in range(1, typ.rank + 1) if mask >> (i - 1) & 1]
+            assert subdiagram_components(typ, kept) == components_by_matrix(typ, kept), (typ, kept)
+    assert rootsys._identify.cache_info().hits > 0
 
 
 @pytest.mark.parametrize(

@@ -143,6 +143,17 @@ def modules_below(typ: SimpleType, bound: int) -> list[tuple[int, ...]]:
     return sorted(found)
 
 
+def weight_by_matrix(typ: SimpleType, root) -> tuple[int, ...]:
+    """Fundamental-weight coordinates by the dense product with the Cartan matrix.
+
+    The reference route for root_to_weight, which reads the bond list: entry
+    i is the sum over every j of C[j][i] * root[j], O(n^2) per root.
+    """
+    a = cartan_matrix(typ)
+    n = typ.rank
+    return tuple(sum(a[j][i] * root[j] for j in range(n)) for i in range(n))
+
+
 def components_by_matrix(typ: SimpleType, kept) -> tuple[Component, ...]:
     """Subdiagram components named by whole induced Cartan matrices.
 
