@@ -47,7 +47,7 @@ from .rootsys import (
 
 
 # Largest --max-rank of `table`: `table 2 --max-rank 32 --json` takes about
-# 0.65 s (median of nine cold processes, 2-vCPU VM, Python 3.11.7; the VM's
+# 0.44 s (median of nine cold processes, 2-vCPU VM, Python 3.11.7; the VM's
 # speed drifts by up to 2x).
 MAX_TABLE_RANK = 32
 

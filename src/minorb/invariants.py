@@ -31,8 +31,8 @@ from itertools import combinations
 from typing import NamedTuple, Union
 
 from .grading import dim_v_alpha
-from .parabolic import closure_is_smooth, dim_u, levi_data, support_masks
-from .rootsys import SimpleType, canonicalize, dim_simple
+from .parabolic import closure_is_smooth, dim_u, support_masks
+from .rootsys import SimpleType, canonicalize, dim_simple, subdiagram_components
 
 
 @dataclass(frozen=True)
@@ -159,12 +159,18 @@ def r_of_levi(types) -> int | float:
 
 
 def sukhanov_refined(typ: SimpleType, node: int) -> BoundCertificate:
-    """The refined bound at one node, as a certificate with its arithmetic."""
+    """The refined bound at one node, as a certificate with its arithmetic.
+
+    It reads dim u of the maximal parabolic at the node (a popcount of its
+    support mask), dim V(alpha_i) (a count on its root column) and the
+    types of the Levi components, named by subdiagram_components; no
+    LeviData is built.
+    """
     typ = canonicalize(typ)
-    data = levi_data(typ, [node])
-    head = data.dim_u + 1
+    head = dim_u(typ, [node]) + 1
     in_module = dim_v_alpha(typ, node)
-    in_levi = r_of_levi(c.typ for c in data.components)
+    kept = [i for i in range(1, typ.rank + 1) if i != node]
+    in_levi = r_of_levi(c.typ for c in subdiagram_components(typ, kept))
     value = head + min(in_module, in_levi)
     detail = (
         f"(dim u + 1) + min(dim V(alpha_{node}), r(Levi)) = "
@@ -185,23 +191,24 @@ def compute_d(typ: SimpleType) -> DResult:
     """Minimum over the certificate families, with the attaining witness.
 
     The crude family is evaluated on pairs only, which suffices because
-    dim u(S) is strictly increasing in S.
+    dim u(S) is strictly increasing in S.  Each pair's dim u(S) is the
+    popcount of the union of its two support masks, kept as a bare int;
+    a certificate is built only for the pairs that attain d.
     """
     typ = canonicalize(typ)
     n = typ.rank
     r_value, r_witness = compute_r(typ)
-    candidates = [
-        BoundCertificate("reductive", (), r_value, f"H = {r_witness}")
-    ]
-    candidates.extend(sukhanov_refined(typ, i) for i in range(1, n + 1))
-    masks = support_masks(typ)
-    for nodes, (x, y) in zip(combinations(range(1, n + 1), 2), combinations(masks, 2)):
-        u = (x | y).bit_count()
-        candidates.append(BoundCertificate("crude", nodes, u + 2, f"dim u(S) + 2 = {u} + 2"))
-    d = min(c.value for c in candidates)
+    bounds = [BoundCertificate("reductive", (), r_value, f"H = {r_witness}")]
+    bounds.extend(sukhanov_refined(typ, i) for i in range(1, n + 1))
+    sizes = [(x | y).bit_count() for x, y in combinations(support_masks(typ), 2)]
+    d = min(min(c.value for c in bounds), min(sizes, default=math.inf) + 2)
     # Evaluation order is already (source, nodes) order among the winners:
     # no larger support ties the least pair, as dim u(S) rises strictly with S.
-    certificates = tuple(c for c in candidates if c.value == d)
+    certificates = tuple(c for c in bounds if c.value == d) + tuple(
+        BoundCertificate("crude", nodes, d, f"dim u(S) + 2 = {u} + 2")
+        for nodes, u in zip(combinations(range(1, n + 1), 2), sizes)
+        if u + 2 == d
+    )
     witness = _existence_witness(typ)
     if witness.codim != d:
         raise RuntimeError(

@@ -12,6 +12,7 @@ import pytest
 import minorb
 from minorb import (
     MAX_RANK,
+    BoundCertificate,
     SimpleType,
     compute_d,
     compute_m,
@@ -32,6 +33,8 @@ from util import (
     ALL_TYPES,
     MID_TYPES,
     adjoint_nullcone_dim,
+    components_by_matrix,
+    d_by_every_pair,
     d_by_sweep,
     direct_dim_u,
     grade_counts,
@@ -242,6 +245,27 @@ def test_refined_bound_pinned(name, node, value, arith):
     assert cert.detail.endswith(arith)
 
 
+@pytest.mark.parametrize(
+    "typ", table_types(24) + [SimpleType(f, MAX_RANK) for f in "ABCD"], ids=str
+)
+def test_refined_bound_by_independent_routes(typ):
+    """sukhanov_refined at every node against dim u counted root by root,
+    dim V(alpha_i) from grade counts taken on the root tuples, and Levi
+    component types named by whole induced Cartan matrices."""
+    counts = grade_counts(typ)
+    for node in range(1, typ.rank + 1):
+        kept = [i for i in range(1, typ.rank + 1) if i != node]
+        head = direct_dim_u(typ, [node]) + 1
+        in_module = counts[node - 1][1]
+        in_levi = r_of_levi(c.typ for c in components_by_matrix(typ, kept))
+        detail = (
+            f"(dim u + 1) + min(dim V(alpha_{node}), r(Levi)) = "
+            f"{head} + min({in_module}, {in_levi})"
+        )
+        want = BoundCertificate("refined", (node,), head + min(in_module, in_levi), detail)
+        assert sukhanov_refined(typ, node) == want
+
+
 def test_r_of_levi():
     assert r_of_levi([]) == math.inf
     assert r_of_levi([parse_type("D5")]) == 9
@@ -287,6 +311,15 @@ def test_invariant_chain(typ):
 def test_prune_sweep_equivalence(typ):
     """Crude pairs alone give d and its certificates: every support agrees."""
     assert compute_d(typ)[:2] == d_by_sweep(typ)
+
+
+@pytest.mark.parametrize(
+    "typ", table_types(24) + [SimpleType(f, n) for n in (40, MAX_RANK) for f in "ABCD"], ids=str
+)
+def test_winner_certificates_match_every_pair_evaluation(typ):
+    """d, its certificates in order, and the witness, against building a
+    certificate for every crude pair and keeping those attaining d."""
+    assert compute_d(typ) == d_by_every_pair(typ)
 
 
 def test_nullcone_dimensions():

@@ -18,6 +18,8 @@ from minorb import (
     sukhanov_refined,
     table_types,
 )
+from minorb.invariants import DResult, _existence_witness
+from minorb.parabolic import support_masks
 from minorb.rootsys import checked_nodes
 
 # the table row inventory: classical families to rank 12 plus the exceptionals
@@ -85,6 +87,13 @@ def direct_dim_u(typ: SimpleType, removed) -> int:
     return sum(any(beta[i - 1] for i in removed) for beta in positive_roots(typ))
 
 
+def _reductive_and_refined(typ: SimpleType) -> list[BoundCertificate]:
+    """The reductive certificate, then the refined one at each node."""
+    r = compute_r(typ)
+    candidates = [BoundCertificate("reductive", (), r.r, f"H = {r.witness}")]
+    return candidates + [sukhanov_refined(typ, i) for i in range(1, typ.rank + 1)]
+
+
 def d_by_sweep(typ: SimpleType) -> tuple[int, tuple[BoundCertificate, ...]]:
     """d and its attaining certificates, with the crude bound at every support.
 
@@ -96,15 +105,32 @@ def d_by_sweep(typ: SimpleType) -> tuple[int, tuple[BoundCertificate, ...]]:
     """
     typ = canonicalize(typ)
     n = typ.rank
-    r = compute_r(typ)
-    candidates = [BoundCertificate("reductive", (), r.r, f"H = {r.witness}")]
-    candidates += [sukhanov_refined(typ, i) for i in range(1, n + 1)]
+    candidates = _reductive_and_refined(typ)
     for size in range(2, n + 1):
         for nodes in combinations(range(1, n + 1), size):
             u = direct_dim_u(typ, nodes)
             candidates.append(BoundCertificate("crude", nodes, u + 2, f"dim u(S) + 2 = {u} + 2"))
     d = min(c.value for c in candidates)
     return d, tuple(c for c in candidates if c.value == d)
+
+
+def d_by_every_pair(typ: SimpleType) -> DResult:
+    """compute_d with a certificate built for every crude pair, then filtered.
+
+    The reference route for compute_d, which keeps each pair's dim u(S) as
+    a bare int and builds certificates only for the pairs attaining d.  Here
+    every candidate becomes a BoundCertificate in evaluation order, and the
+    ones with the least value are kept, with the same witness.
+    """
+    typ = canonicalize(typ)
+    n = typ.rank
+    candidates = _reductive_and_refined(typ)
+    masks = support_masks(typ)
+    for nodes, (x, y) in zip(combinations(range(1, n + 1), 2), combinations(masks, 2)):
+        u = (x | y).bit_count()
+        candidates.append(BoundCertificate("crude", nodes, u + 2, f"dim u(S) + 2 = {u} + 2"))
+    d = min(c.value for c in candidates)
+    return DResult(d, tuple(c for c in candidates if c.value == d), _existence_witness(typ))
 
 
 def hilbert_degree(typ: SimpleType, weight) -> int:
