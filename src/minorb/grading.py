@@ -15,7 +15,7 @@ read off its highest root: the last root of grade k in root order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .parabolic import LeviData, levi_data
 from .repdim import dim_irrep_product, dual_weight
@@ -28,21 +28,20 @@ from .rootsys import (
     positive_roots,
     root_columns,
     root_to_weight,
+    subdiagram_components,
 )
 
 Weight = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class GradingReport:
+class GradingReport(NamedTuple):
     typ: SimpleType
     node: int
     dims: dict[int, int]
     max_grade: int
 
 
-@dataclass(frozen=True)
-class VAlphaData:
+class VAlphaData(NamedTuple):
     """V(alpha_i) as a module over the semisimple Levi at node i."""
 
     typ: SimpleType
@@ -53,8 +52,7 @@ class VAlphaData:
     dim: int
 
 
-@dataclass(frozen=True)
-class BranchSummand:
+class BranchSummand(NamedTuple):
     """One irreducible summand, a highest weight per kept component."""
 
     weights: tuple[Weight, ...]
@@ -62,8 +60,7 @@ class BranchSummand:
     torus: bool = False
 
 
-@dataclass(frozen=True)
-class BranchReport:
+class BranchReport(NamedTuple):
     typ: SimpleType
     node: int
     grades: dict[int, tuple[BranchSummand, ...]]
@@ -121,7 +118,7 @@ def branch_adjoint(typ: SimpleType, node: int) -> BranchReport:
     the duals of the positive ones and are omitted.
     """
     (node,) = checked_nodes(typ, [node])
-    comps = levi_data(typ, [node]).components
+    comps = subdiagram_components(typ, [i for i in range(1, typ.rank + 1) if i != node])
     pos = positive_roots(typ)
     ix = node - 1
     col = root_columns(typ)[ix]

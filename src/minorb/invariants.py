@@ -25,25 +25,25 @@ by node, then crude pairs in lexicographic order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple, Union
 
 from .grading import dim_v_alpha
 from .parabolic import closure_is_smooth, dim_u, support_masks
-from .rootsys import SimpleType, canonicalize, dim_simple, subdiagram_components
+from .rootsys import SimpleType, canonicalize, checked_rank, dim_simple, subdiagram_components
 
 
-@dataclass(frozen=True)
-class Torus:
+class Torus(NamedTuple("Torus", [("rank", int)])):
     """A central torus factor of a witness subgroup."""
 
-    rank: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.rank < 1:
+    def __new__(cls, rank: int) -> Torus:
+        rank = checked_rank(rank)
+        if rank < 1:
             raise ValueError("torus rank must be positive")
+        return tuple.__new__(cls, (rank,))
 
     def __str__(self) -> str:
         return f"T{self.rank}"
@@ -56,8 +56,7 @@ def _dim_factor(factor: Factor) -> int:
     return factor.rank if isinstance(factor, Torus) else dim_simple(factor)
 
 
-@dataclass(frozen=True)
-class BoundCertificate:
+class BoundCertificate(NamedTuple):
     """One evaluated upper bound for d, with its provenance inside G."""
 
     source: str  # "reductive" | "refined" | "crude"
@@ -66,8 +65,7 @@ class BoundCertificate:
     detail: str
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """A subgroup certifying r or d: reductive factors, optionally times u(S)."""
 
     ambient: SimpleType
@@ -217,8 +215,7 @@ def compute_d(typ: SimpleType) -> DResult:
     return DResult(d, certificates, witness)
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     typ: SimpleType
     dim: int
     m: MResult

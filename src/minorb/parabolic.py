@@ -17,9 +17,9 @@ of lambda, so its dimension is dim u + 1.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
 
 from .repdim import Weight, dim_irrep
 from .rootsys import (
@@ -33,8 +33,7 @@ from .rootsys import (
 )
 
 
-@dataclass(frozen=True)
-class LeviData:
+class LeviData(NamedTuple):
     """Dimension data of the parabolic that removes the given nodes."""
 
     typ: SimpleType

@@ -1,6 +1,7 @@
 """Command line behavior: golden outputs, JSON envelopes, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -393,6 +394,20 @@ def test_help_text(capsys, monkeypatch, command):
         main(["--help"] if command == "minorb" else [command, "--help"])
     assert stop.value.code == 0
     assert capsys.readouterr() == (HELP[command], "")
+
+
+def test_import_leaves_dataclasses_and_inspect_unloaded():
+    """The CLI's cold start imports neither dataclasses nor what it pulls in."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import sys, minorb.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_module_entry_point():

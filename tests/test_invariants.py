@@ -14,6 +14,8 @@ from minorb import (
     MAX_RANK,
     BoundCertificate,
     SimpleType,
+    Torus,
+    branch_adjoint,
     compute_d,
     compute_m,
     compute_r,
@@ -22,9 +24,11 @@ from minorb import (
     full_report,
     grade_adjoint,
     levi_data,
+    lowest_weight_of_v_alpha,
     parse_type,
     positive_roots,
     r_of_levi,
+    subdiagram_components,
     sukhanov_refined,
     table_types,
 )
@@ -288,6 +292,43 @@ PUBLIC_API = {
     "Torus", "Witness", "BoundCertificate", "InvariantReport", "compute_m",
     "compute_r", "r_of_levi", "sukhanov_refined", "compute_d", "full_report",
 }
+
+
+def test_torus_rank_is_a_positive_integer():
+    assert Torus(True) == Torus(1) and str(Torus(True)) == "T1"
+    with pytest.raises(ValueError, match="^torus rank must be positive$"):
+        Torus(0)
+    with pytest.raises(ValueError, match=r"^rank 2\.5 is not an integer$"):
+        Torus(2.5)
+
+
+def test_records_are_immutable():
+    """Every result record refuses to set a field or to grow a new attribute."""
+    e7 = SimpleType("E", 7)
+    report = full_report(e7)
+    branch = branch_adjoint(e7, 2)
+    torus = compute_r(SimpleType("A", 4)).witness.factors[-1]
+    assert isinstance(torus, Torus)
+    records = [
+        e7,
+        torus,
+        subdiagram_components(e7, [1, 2, 3])[0],
+        levi_data(e7, [7]),
+        grade_adjoint(e7, 2),
+        lowest_weight_of_v_alpha(e7, 2),
+        branch,
+        branch.grades[1][0],
+        report.d.certificates[0],
+        report.d.witness,
+        report,
+        report.m,
+        report.r,
+        report.d,
+    ]
+    for record in records:
+        for name in (*record._fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
 
 
 def test_public_api():

@@ -107,6 +107,19 @@ def test_type_validation():
         SimpleType("F", 5)
 
 
+def test_type_rank_must_be_an_integer():
+    with pytest.raises(ValueError, match=r"^rank 2\.5 is not an integer$"):
+        SimpleType("A", 2.5)
+    with pytest.raises(ValueError, match=r"^rank '3' is not an integer$"):
+        SimpleType("A", "3")
+
+
+def test_type_rank_is_stored_as_a_plain_int():
+    typ = SimpleType("A", True)
+    assert typ == SimpleType("A", 1) and type(typ.rank) is int
+    assert str(typ) == "A1"
+
+
 def test_parse_and_canonicalize():
     assert parse_type("e8") == E8
     assert parse_type(" A1 ") == SimpleType("A", 1)
