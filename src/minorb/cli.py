@@ -414,11 +414,14 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--json", action="store_true", help="emit a one-line JSON envelope"
     )
+    # usage wrapped as by Python 3.10-3.12, not 3.13; so subcommands need prog
+    indent = "\n" + " " * len("usage: minorb ")
     parser = _Parser(
         prog="minorb",
+        usage=f"%(prog)s [-h]{indent}{{{','.join(_HANDLERS)}}}{indent}...",
         description="Exact root-system combinatorics and minimal-orbit invariants.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, prog="minorb")
 
     def add(name, help_text):
         return sub.add_parser(name, parents=[common], help=help_text)

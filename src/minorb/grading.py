@@ -10,7 +10,8 @@ components.  branch_adjoint refines the grading into irreducible
 summands.  At a maximal parabolic every grade g_k with k >= 1 is one
 irreducible Levi module (Azad, Barry and Seitz, "On the structure of
 parabolic subgroups", Comm. Algebra 18 (1990)), so its highest weight is
-read off its highest root: the last root of grade k in root order.
+read off its highest root, the last root of grade k in root order, and
+its dimension is the grade's root count.
 """
 
 from __future__ import annotations
@@ -113,9 +114,9 @@ def branch_adjoint(typ: SimpleType, node: int) -> BranchReport:
     plus a one-dimensional center line.  For k >= 1 the grade is one
     irreducible module (Azad-Barry-Seitz 1990), so its highest weight is
     its highest root, the last root of grade k in positive_roots order,
-    restricted to the components.  RuntimeError if that module's Weyl
-    dimension differs from the grade's root count.  Negative grades are
-    the duals of the positive ones and are omitted.
+    restricted to the components, and its dimension is the number of
+    roots of grade k.  Negative grades are the duals of the positive
+    ones and are omitted.
     """
     (node,) = checked_nodes(typ, [node])
     comps = subdiagram_components(typ, [i for i in range(1, typ.rank + 1) if i != node])
@@ -139,10 +140,5 @@ def branch_adjoint(typ: SimpleType, node: int) -> BranchReport:
         # positive_roots ascends by height, so a grade's last root is its top
         m = root_to_weight(typ, pos[col.rindex(k)])
         weights = tuple(tuple(m[orig - 1] for orig in comp.nodes) for comp in comps)
-        dim = dim_irrep_product((comp.typ, w) for comp, w in zip(comps, weights))
-        if dim != (size := col.count(k)):
-            raise RuntimeError(
-                f"grade {k} of {typ} at node {node} has {size} roots, its top dimension {dim}"
-            )
-        grades[k] = (BranchSummand(weights, dim),)
+        grades[k] = (BranchSummand(weights, col.count(k)),)
     return BranchReport(typ, node, grades, max_grade)

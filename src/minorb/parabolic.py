@@ -10,8 +10,10 @@ of the masks of S, so no Levi component is built.  The tests check it
 against the bookkeeping identity dim g = dim [l, l] + #removed + 2 dim u.
 
 The orbit of a highest weight vector in the irreducible module V_lambda
-is a cone over G/P_lambda, where P_lambda removes exactly the support
-of lambda, so its dimension is dim u + 1.
+is a cone over G/P_lambda, where P_lambda removes exactly the support S
+of lambda, so its dimension is dim u(S) + 1.  closure_is_smooth multiplies
+the Weyl factors of u(S)'s roots only, the rest being 1; none is below 1,
+so it stops, exactly, once a partial product exceeds dim u(S) + 1.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
 
-from .repdim import Weight, dim_irrep
+from .repdim import Weight, rho_pairings
 from .rootsys import (
     Component,
     SimpleType,
@@ -30,6 +32,7 @@ from .rootsys import (
     dim_simple,
     root_columns,
     subdiagram_components,
+    symmetrizers,
 )
 
 
@@ -67,11 +70,16 @@ def support_masks(typ: SimpleType) -> tuple[int, ...]:
 
 def dim_u(typ: SimpleType, removed: Iterable[int]) -> int:
     """Nilradical dimension of the parabolic removing the given nodes."""
+    return _u_mask(typ, checked_nodes(typ, removed)).bit_count()
+
+
+def _u_mask(typ: SimpleType, nodes: Iterable[int]) -> int:
+    """Byte k is 1 when root k is in u of the parabolic removing nodes, already checked."""
     masks = support_masks(typ)
     union = 0
-    for i in checked_nodes(typ, removed):
+    for i in nodes:
         union |= masks[i - 1]
-    return union.bit_count()
+    return union
 
 
 def levi_data(typ: SimpleType, removed: Iterable[int]) -> LeviData:
@@ -89,7 +97,7 @@ def levi_data(typ: SimpleType, removed: Iterable[int]) -> LeviData:
     kept = tuple(i for i in range(1, typ.rank + 1) if i not in rem)
     components = subdiagram_components(typ, kept)
     dim_ss = sum(dim_simple(c.typ) for c in components)
-    return LeviData(typ, rem, kept, components, dim_ss, dim_u(typ, rem))
+    return LeviData(typ, rem, kept, components, dim_ss, _u_mask(typ, rem).bit_count())
 
 
 def _checked_nonzero_dominant(typ: SimpleType, weight: Iterable[int]) -> Weight:
@@ -110,7 +118,7 @@ def parabolic_of_weight(typ: SimpleType, weight: Iterable[int]) -> LeviData:
 
 def dim_min_orbit(typ: SimpleType, weight: Iterable[int]) -> int:
     """Dimension of the cone of highest weight vectors in V_lambda."""
-    return dim_u(typ, _support(_checked_nonzero_dominant(typ, weight))) + 1
+    return _u_mask(typ, _support(_checked_nonzero_dominant(typ, weight))).bit_count() + 1
 
 
 def orbit_type(typ: SimpleType, weight: Iterable[int]) -> tuple[Weight, int]:
@@ -128,7 +136,21 @@ def closure_is_smooth(typ: SimpleType, weight: Iterable[int]) -> bool:
     """Whether the orbit closure in V_lambda is smooth at the origin.
 
     The closure is the cone over the projective orbit; it is smooth
-    exactly when it is a linear subspace, i.e. all of V_lambda.
+    exactly when it is all of V_lambda, i.e. dim V_lambda = dim u(S) + 1 for
+    S the support.  A root beta's Weyl factor is 1 + (sum over i in S of
+    c_i(beta) * lambda_i * d_i) / (rho, beta): 1 off u(S), never below 1.
+    So only u(S) is walked, and a partial product above dim u(S) + 1 is an
+    exact False.
     """
     w = _checked_nonzero_dominant(typ, weight)
-    return dim_min_orbit(typ, w) == dim_irrep(typ, w)
+    d, cols, rho = symmetrizers(typ), root_columns(typ), rho_pairings(typ)
+    terms = [(cols[i], c * d[i]) for i, c in enumerate(w) if c]
+    union = _u_mask(typ, _support(w))
+    bound, in_u = union.bit_count() + 1, union.to_bytes(len(rho), "little")
+    num, den, k = 1, 1, -1
+    while (k := in_u.find(1, k + 1)) >= 0:
+        num *= rho[k] + sum(col[k] * t for col, t in terms)
+        den *= rho[k]
+        if num > bound * den:
+            return False
+    return num == bound * den

@@ -53,8 +53,15 @@ def _root_values(typ: SimpleType, simple: Sequence[int]) -> list[int]:
 
 
 @lru_cache(maxsize=None)
+def rho_pairings(typ: SimpleType) -> tuple[int, ...]:
+    """(rho, beta) = sum_j c_j(beta) * d_j for every positive root beta, in root order."""
+    return tuple(_root_values(typ, symmetrizers(typ)))
+
+
+@lru_cache(maxsize=None)
 def _rho_counts(typ: SimpleType) -> Counter:
-    """How often each value of (rho, beta) occurs among the positive roots."""
+    """How often each value of (rho, beta) occurs among the positive roots,
+    walked anew so that dim_irrep alone caches no per-root tuple."""
     return Counter(_root_values(typ, symmetrizers(typ)))
 
 

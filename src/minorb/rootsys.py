@@ -273,13 +273,16 @@ def _integers(values: Iterable[int], what: str) -> Vector:
 
     operator.index refuses floats and strings instead of truncating them.
     """
-    out = []
-    for c in values:
-        try:
-            out.append(index(c))
-        except TypeError:
-            raise ValueError(f"{what} entry {c!r} is not an integer") from None
-    return tuple(out)
+    values = tuple(values)
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        for c in values:
+            try:
+                index(c)
+            except TypeError:
+                raise ValueError(f"{what} entry {c!r} is not an integer") from None
+        raise
 
 
 def root_to_weight(typ: SimpleType, root: Vector) -> Vector:

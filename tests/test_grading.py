@@ -18,6 +18,7 @@ from minorb import (
     table_types,
 )
 from minorb.repdim import dim_irrep_product
+from minorb.rootsys import root_columns
 
 from util import MID_TYPES
 
@@ -154,13 +155,20 @@ def test_grade_one_top_matches_v_alpha(typ):
         assert (data.highest, data.dim) == (top.weights, top.dim), node
 
 
-def test_branch_refuses_a_summand_of_the_wrong_dimension(monkeypatch):
-    """A top whose Weyl dimension misses its grade's root count is an error."""
-    monkeypatch.setattr(
-        "minorb.grading.dim_irrep_product", lambda parts: dim_irrep_product(parts) + 1
-    )
-    with pytest.raises(RuntimeError, match=r"^grade 1 of E8 at node 7 "):
-        branch_adjoint(parse_type("E8"), 7)
+@pytest.mark.parametrize(
+    "typ", table_types(24) + [SimpleType(f, MAX_RANK) for f in "ABCD"], ids=str
+)
+def test_branch_top_weyl_dimension_equals_root_count(typ):
+    """Each positive grade's summand dim is its root count; the Weyl
+    dimension of its top weights agrees, as Azad-Barry-Seitz says it must."""
+    for node in range(1, typ.rank + 1):
+        col = root_columns(typ)[node - 1]
+        comps = levi_data(typ, [node]).components
+        rep = branch_adjoint(typ, node)
+        for k in range(1, rep.max_grade + 1):
+            (top,) = rep.grades[k]
+            weyl = dim_irrep_product((c.typ, w) for c, w in zip(comps, top.weights))
+            assert weyl == col.count(k) == top.dim, (node, k)
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minorb import (
+    MAX_RANK,
     closure_is_smooth,
     dim_irrep,
     dim_min_orbit,
@@ -22,6 +23,7 @@ from minorb import (
     parabolic_of_weight,
     parse_type,
     SimpleType,
+    table_types,
 )
 
 from util import (
@@ -153,6 +155,12 @@ def test_rejects_bad_nodes():
         # a float node is refused, not truncated to node 1
         with pytest.raises(ValueError, match=r"node entry 1\.7 is not an integer"):
             fn(parse_type("A3"), [1.7])
+        # a generator is read once, and a bad entry after good ones is named
+        assert fn(parse_type("A3"), (i for i in (3, 1))) == fn(parse_type("A3"), [1, 3])
+        with pytest.raises(ValueError, match=r"node entry '3' is not an integer"):
+            fn(parse_type("A3"), [1, 2, "3"])
+        with pytest.raises(ValueError, match=r"node entry 2\.5 is not an integer"):
+            fn(parse_type("A3"), (i for i in (1, 2.5)))
 
 
 MIN_ORBIT_DIMS = [
@@ -210,3 +218,29 @@ SMOOTHNESS = [
 @pytest.mark.parametrize("name,weight,expected", SMOOTHNESS, ids=lambda v: str(v))
 def test_closure_smoothness(name, weight, expected):
     assert closure_is_smooth(parse_type(name), weight) is expected
+
+
+SMOOTHNESS_TYPES = table_types(24) + [SimpleType(f, MAX_RANK) for f in "ABCD"]
+
+
+def smooth_by_weyl(typ, weight):
+    """The general route: the orbit dimension against the full Weyl product."""
+    return dim_min_orbit(typ, weight) == dim_irrep(typ, weight)
+
+
+@pytest.mark.parametrize("typ", SMOOTHNESS_TYPES, ids=str)
+def test_smoothness_matches_the_weyl_route_on_fundamentals(typ):
+    for i in range(typ.rank):
+        w = tuple(int(j == i) for j in range(typ.rank))
+        assert closure_is_smooth(typ, w) is smooth_by_weyl(typ, w), i + 1
+
+
+@pytest.mark.parametrize("typ", SMOOTHNESS_TYPES, ids=str)
+def test_smoothness_matches_the_weyl_route_on_sparse_weights(typ):
+    """Seeded weights with 1-3 nonzero entries, up to the CLI's entry ceiling."""
+    rng = random.Random(f"smooth {typ}")
+    for _ in range(10):
+        w = [0] * typ.rank
+        for i in rng.sample(range(typ.rank), rng.randint(1, min(3, typ.rank))):
+            w[i] = rng.choice((1, 2, 3, 10**9))
+        assert closure_is_smooth(typ, w) is smooth_by_weyl(typ, w), w

@@ -183,5 +183,11 @@ def test_rejects_bad_weights():
     # a float entry is refused, not truncated to the weight (1, 0)
     with pytest.raises(ValueError, match=r"weight entry 1\.5 is not an integer"):
         dim_irrep(a2, (1.5, 0))
+    # a generator is read once, and a bad entry after good ones is named
+    assert dim_irrep(a2, (c for c in (1, 1))) == 8
+    with pytest.raises(ValueError, match=r"weight entry '2' is not an integer"):
+        dim_irrep(a2, (1, "2"))
+    with pytest.raises(ValueError, match=r"weight entry 0\.5 is not an integer"):
+        dim_irrep(a2, (c for c in (1, 0.5)))
     with pytest.raises(ValueError):
         dual_weight(a2, (1,))
