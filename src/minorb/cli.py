@@ -46,7 +46,7 @@ from .rootsys import (
 
 
 # Largest --max-rank of `table`: `table 2 --max-rank 32 --json` takes about
-# 0.23 s (median of nine cold processes, 2-vCPU VM, Python 3.11.7; the VM's
+# 0.35 s (median of nine cold processes, 2-vCPU VM, Python 3.11.7; the VM's
 # speed drifts by up to 2x).
 MAX_TABLE_RANK = 32
 
@@ -391,10 +391,22 @@ _HANDLERS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that raises its errors as ValueError, for main to report."""
+    """argparse that raises its errors as ValueError for main; two keep their 3.10-3.12 words."""
 
     def error(self, message):
         raise ValueError(message)
+
+    def _check_value(self, action, value):  # 3.13.13 lists the choices unquoted
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            message = f"invalid choice: {value!r} (choose from {choices})"
+            raise argparse.ArgumentError(action, message)
+
+    def _parse_optional(self, arg_string):  # -hX: 3.13 would take -h and print the help
+        if re.match(r"-h+[^-=h]", arg_string):  # -X is no option: refuse X as 3.10-3.12 do
+            message = f"ignored explicit argument {clipped(arg_string[2:].lstrip('h'))!r}"
+            raise argparse.ArgumentError(self._option_string_actions["-h"], message)
+        return super()._parse_optional(arg_string)
 
 
 def _clip_arguments(message: str, argv: list[str]) -> str:

@@ -15,7 +15,9 @@ G / P_lambda, obtained as the minimum over three certificate families:
 
 Since dim u(S) grows strictly with S, the crude family is minimized on
 pairs, and only pairs are evaluated; the tests sweep every support as a
-cross-check.
+cross-check.  As r >= 2 for every simple type, the refined bound is
+evaluated only at the nodes where dim u + 1 + min(dim V(alpha_i), 2), its
+floor, does not exceed the least value in hand.
 r and d are each certified by a Witness subgroup of that codimension:
 reductive, or for d possibly H' * U(S) inside a parabolic.  The
 certificates attaining d keep their evaluation order: reductive, refined
@@ -29,9 +31,9 @@ from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple, Union
 
-from .grading import dim_v_alpha
-from .parabolic import closure_is_smooth, dim_u, support_masks
-from .rootsys import SimpleType, canonicalize, checked_rank, dim_simple, subdiagram_components
+from .parabolic import _u_mask, closure_is_smooth, support_masks
+from .rootsys import SimpleType, canonicalize, checked_nodes, checked_rank, dim_simple
+from .rootsys import root_columns, subdiagram_components
 
 
 class Torus(NamedTuple("Torus", [("rank", int)])):
@@ -75,9 +77,7 @@ class Witness(NamedTuple):
     @property
     def dim_h(self) -> int:
         dim = sum(_dim_factor(f) for f in self.factors)
-        if self.unipotent_support is not None:
-            dim += dim_u(self.ambient, self.unipotent_support)
-        return dim
+        return dim + _u_mask(self.ambient, self.unipotent_support or ()).bit_count()
 
     @property
     def codim(self) -> int:
@@ -156,6 +156,11 @@ def r_of_levi(types) -> int | float:
     return min((compute_r(t).r for t in types), default=math.inf)
 
 
+def _head_and_module(typ: SimpleType, node: int) -> tuple[int, int]:
+    """dim u + 1 of the maximal parabolic at a checked node, and dim V(alpha_i)."""
+    return support_masks(typ)[node - 1].bit_count() + 1, root_columns(typ)[node - 1].count(1)
+
+
 def sukhanov_refined(typ: SimpleType, node: int) -> BoundCertificate:
     """The refined bound at one node, as a certificate with its arithmetic.
 
@@ -165,8 +170,8 @@ def sukhanov_refined(typ: SimpleType, node: int) -> BoundCertificate:
     LeviData is built.
     """
     typ = canonicalize(typ)
-    head = dim_u(typ, [node]) + 1
-    in_module = dim_v_alpha(typ, node)
+    (node,) = checked_nodes(typ, [node])
+    head, in_module = _head_and_module(typ, node)
     kept = [i for i in range(1, typ.rank + 1) if i != node]
     in_levi = r_of_levi(c.typ for c in subdiagram_components(typ, kept))
     value = head + min(in_module, in_levi)
@@ -191,15 +196,23 @@ def compute_d(typ: SimpleType) -> DResult:
     The crude family is evaluated on pairs only, which suffices because
     dim u(S) is strictly increasing in S.  Each pair's dim u(S) is the
     popcount of the union of its two support masks, kept as a bare int;
-    a certificate is built only for the pairs that attain d.
+    a certificate is built only for the pairs that attain d.  From there,
+    the refined bound is evaluated only at nodes, in order, whose floor
+    dim u + 1 + min(dim V(alpha_i), 2) is at most the least value so far:
+    r >= 2 for every simple type (A1 > T1 attains it; no simple group has
+    a reductive subgroup of codimension 1), so a skipped node exceeds d.
     """
     typ = canonicalize(typ)
     n = typ.rank
     r_value, r_witness = compute_r(typ)
     bounds = [BoundCertificate("reductive", (), r_value, f"H = {r_witness}")]
-    bounds.extend(sukhanov_refined(typ, i) for i in range(1, n + 1))
     sizes = [(x | y).bit_count() for x, y in combinations(support_masks(typ), 2)]
-    d = min(min(c.value for c in bounds), min(sizes, default=math.inf) + 2)
+    d = min(r_value, min(sizes, default=math.inf) + 2)
+    for i in range(1, n + 1):
+        head, in_module = _head_and_module(typ, i)
+        if head + min(in_module, 2) <= d:
+            bounds.append(sukhanov_refined(typ, i))
+            d = min(d, bounds[-1].value)
     # Evaluation order is already (source, nodes) order among the winners:
     # no larger support ties the least pair, as dim u(S) rises strictly with S.
     certificates = tuple(c for c in bounds if c.value == d) + tuple(

@@ -9,7 +9,9 @@ computational scope; their quantitative shadows, the thresholds 2n-2
 for SL_n and 4n-4 for Sp_2n, equal the d values and are checked as
 criterion 9.  The abstract's list of types whose small-dimensional
 varieties are all small is the list of types with m < d, criterion 10,
-and its SL_n corollary is checked from Weyl dimensions alone.
+and its SL_n corollary is checked from Weyl dimensions alone.  Criterion
+11 computes the claim's consequence for modules of dimension below d on
+the listed types; like criterion 9, it is a check, not a proof.
 """
 
 from itertools import combinations
@@ -277,6 +279,28 @@ def test_criterion_10_abstract_type_list():
         in_list = typ.family in "CE" or (typ.family == "A" and typ.rank >= 2)
         assert (m < d) == in_list and m <= d, (typ, m, d)
     report(10, "m < d exactly on A_n (n>=2), C_n (n>=3), E6, E7, E8")
+
+
+def test_criterion_11_modules_below_d_are_small():
+    """The abstract's claim at module level: every nontrivial irreducible module
+    of dimension below d is small, V \\ {0} one highest weight vector orbit.
+    These are the natural module and its dual for A_n (n >= 2; A1's has
+    dimension d = 2) and the natural module for C_n; no other type has one.
+    Twice the least nontrivial dimension is at least d, so no sum of two
+    nontrivial modules fits below d either.  This computes a consequence of
+    the theorem on the listed types; it does not prove it."""
+    ceiling = [SimpleType(f, 64) for f in "ABCD"]
+    for typ in table_types(MAX_TABLE_RANK) + ceiling:
+        n, d = typ.rank, compute_d(typ).d
+        below = [w for w in modules_below(typ, d) if any(w)]
+        if typ.family == "A" and n >= 2:
+            expected = sorted({fund(typ, 1), fund(typ, n)})
+        else:
+            expected = [fund(typ, 1)] if typ.family == "C" else []
+        assert below == expected and all(closure_is_smooth(typ, w) for w in below), typ
+        least = min(dim_irrep(typ, fund(typ, i)) for i in range(1, n + 1))
+        assert 2 * least >= d, (typ, least, d)
+    report(11, "modules below d are the small ones, and no two fit below d")
 
 
 def test_sl_n_corollary():

@@ -352,9 +352,11 @@ def test_unparsable_input_is_quoted_short(capsys):
         (["cartan", "A2", "y " * 100000], f"unrecognized arguments: {'y ' * (MAX_QUOTED // 2)}\u2026\n"),
         (["it's " * 50000], 'invalid choice: "' + ("it's " * 20)[:MAX_QUOTED] + '\u2026" (choose from '),
         (["cartan", "A2", "-h" + "z' " * 100000], 'argument "' + ("z' " * 20)[:MAX_QUOTED] + '\u2026"\n'),
+        (["cartan", "A2", "-hh" + "z" * 200000], f"argument '{'z' * MAX_QUOTED}\u2026'\n"),
     ],
     ids=["command", "extra argument", "flag value", "command with spaces",
-         "extra argument with spaces", "command with a quote mark", "short flag value"],
+         "extra argument with spaces", "command with a quote mark", "short flag value",
+         "repeated short flag value"],
 )
 def test_argparse_errors_are_clipped_and_return_2(capsys, argv, quoted):
     """argparse's own errors return 2 through main, like every input error,
@@ -371,6 +373,14 @@ def test_argparse_errors_of_normal_size_stay_whole(capsys):
     assert (code, out) == (2, "")
     assert err == f"error: argument command: invalid choice: 'frob' (choose from {choices})\n"
     assert run(capsys) == (2, "", "error: the following arguments are required: command\n")
+    # -hX with -X no option is refused as under Python 3.10-3.12; 3.13's own
+    # argparse would take the -h and print the help
+    for arg, tail in (("-hz' z' ", '"z\' z\' "'), ("-hhj", "'j'"), ("-h=j", "'j'")):
+        assert run(capsys, "cartan", "A2", arg) == (
+            2,
+            "",
+            f"error: argument -h/--help: ignored explicit argument {tail}\n",
+        ), arg
     assert run(capsys, "dim", "A2") == (
         2,
         "",

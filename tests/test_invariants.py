@@ -255,8 +255,11 @@ def test_refined_bound_pinned(name, node, value, arith):
 def test_refined_bound_by_independent_routes(typ):
     """sukhanov_refined at every node against dim u counted root by root,
     dim V(alpha_i) from grade counts taken on the root tuples, and Levi
-    component types named by whole induced Cartan matrices."""
+    component types named by whole induced Cartan matrices.  compute_d's
+    floor dim u + 1 + min(dim V(alpha_i), 2), read through the same helper
+    as sukhanov_refined, never exceeds the bound: the least r is A1's 2."""
     counts = grade_counts(typ)
+    assert compute_r(typ).r >= compute_r(SimpleType("A", 1)).r == 2
     for node in range(1, typ.rank + 1):
         kept = [i for i in range(1, typ.rank + 1) if i != node]
         head = direct_dim_u(typ, [node]) + 1
@@ -268,6 +271,24 @@ def test_refined_bound_by_independent_routes(typ):
         )
         want = BoundCertificate("refined", (node,), head + min(in_module, in_levi), detail)
         assert sukhanov_refined(typ, node) == want
+        assert minorb.invariants._head_and_module(typ, node) == (head, in_module)
+        assert head + min(in_module, 2) <= want.value
+
+
+@pytest.mark.parametrize("family", "ABCD")
+def test_compute_d_evaluates_few_refined_bounds(monkeypatch, family):
+    """At MAX_RANK, compute_d evaluates the refined bound at two nodes at
+    most: every other node's floor already exceeds a bound in hand."""
+    nodes = []
+    refined = minorb.invariants.sukhanov_refined
+
+    def counted(typ, node):
+        nodes.append(node)
+        return refined(typ, node)
+
+    monkeypatch.setattr(minorb.invariants, "sukhanov_refined", counted)
+    compute_d(SimpleType(family, MAX_RANK))
+    assert len(nodes) <= 2, nodes
 
 
 def test_r_of_levi():
