@@ -403,6 +403,8 @@ class _Parser(argparse.ArgumentParser):
             raise argparse.ArgumentError(action, message)
 
     def _parse_optional(self, arg_string):  # -hX: 3.13 would take -h and print the help
+        if re.fullmatch(r"-\d[\d,-]*", arg_string):  # a list such as -1,2 is an argument
+            return None
         if re.match(r"-h+[^-=h]", arg_string):  # -X is no option: refuse X as 3.10-3.12 do
             message = f"ignored explicit argument {clipped(arg_string[2:].lstrip('h'))!r}"
             raise argparse.ArgumentError(self._option_string_actions["-h"], message)

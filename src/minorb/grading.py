@@ -22,6 +22,7 @@ from .parabolic import LeviData, levi_data
 from .repdim import dim_irrep_product, dual_weight
 from .rootsys import (
     SimpleType,
+    _components,
     cartan_matrix,
     checked_nodes,
     dim_simple,
@@ -29,7 +30,6 @@ from .rootsys import (
     positive_roots,
     root_columns,
     root_to_weight,
-    subdiagram_components,
 )
 
 Weight = tuple[int, ...]
@@ -119,7 +119,7 @@ def branch_adjoint(typ: SimpleType, node: int) -> BranchReport:
     ones and are omitted.
     """
     (node,) = checked_nodes(typ, [node])
-    comps = subdiagram_components(typ, [i for i in range(1, typ.rank + 1) if i != node])
+    comps = _components(typ, ((1 << typ.rank) - 1) ^ (1 << (node - 1)))
     pos = positive_roots(typ)
     ix = node - 1
     col = root_columns(typ)[ix]

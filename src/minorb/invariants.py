@@ -33,7 +33,7 @@ from typing import NamedTuple, Union
 
 from .parabolic import _u_mask, closure_is_smooth, support_masks
 from .rootsys import SimpleType, canonicalize, checked_nodes, checked_rank, dim_simple
-from .rootsys import root_columns, subdiagram_components
+from .rootsys import _components, root_columns
 
 
 class Torus(NamedTuple("Torus", [("rank", int)])):
@@ -166,14 +166,14 @@ def sukhanov_refined(typ: SimpleType, node: int) -> BoundCertificate:
 
     It reads dim u of the maximal parabolic at the node (a popcount of its
     support mask), dim V(alpha_i) (a count on its root column) and the
-    types of the Levi components, named by subdiagram_components; no
-    LeviData is built.
+    types of the Levi components, named from the mask of every other node
+    by the core of subdiagram_components; no LeviData is built.
     """
     typ = canonicalize(typ)
     (node,) = checked_nodes(typ, [node])
     head, in_module = _head_and_module(typ, node)
-    kept = [i for i in range(1, typ.rank + 1) if i != node]
-    in_levi = r_of_levi(c.typ for c in subdiagram_components(typ, kept))
+    others = ((1 << typ.rank) - 1) ^ (1 << (node - 1))  # every other node, as a mask
+    in_levi = r_of_levi(c.typ for c in _components(typ, others))
     value = head + min(in_module, in_levi)
     detail = (
         f"(dim u + 1) + min(dim V(alpha_{node}), r(Levi)) = "

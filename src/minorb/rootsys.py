@@ -166,7 +166,6 @@ def positive_roots(typ: SimpleType) -> tuple[Vector, ...]:
     node, so one subtraction marks all its up nodes.  The same pass records
     the ancestry that root_ancestry returns.
     """
-    a = cartan_matrix(typ)
     n = typ.rank
     # A root is one int, a byte per node with node 1 most significant, so
     # beta + alpha_i is one addition and integer order is lexicographic
@@ -176,8 +175,12 @@ def positive_roots(typ: SimpleType) -> tuple[Vector, ...]:
     ones = sum(unit)
     # Pairings (-3..3) and depths (0..3) are packed the same way, so byte i of
     # depths + 0x7f * ones - pairings is 0x7c..0x85: no byte borrows, and its
-    # top bit is set exactly when p_i > <beta, coroot_i>.
-    rows = [sum(c << s for c, s in zip(a[i], shift)) for i in range(n)]
+    # top bit is set exactly when p_i > <beta, coroot_i>.  Cartan row i is
+    # packed from the diagonal 2 and one term per bond end: O(n) in all.
+    rows = [2 << s for s in shift]
+    for p, q, apq, aqp in _bonds(typ):
+        rows[p] += apq << shift[q]
+        rows[q] += aqp << shift[p]
     up_base, up_bits = 0x7F * ones, 0x80 * ones
     # top bit of node i's byte -> (i, its unit, its byte mask, its Cartan row)
     steps = {s + 7: (i, unit[i], 255 << s, rows[i]) for i, s in enumerate(shift)}
@@ -346,40 +349,55 @@ def subdiagram_components(typ: SimpleType, kept: Iterable[int]) -> tuple[Compone
 
     Components are listed by smallest original node.  Identification is
     structural (bond multiplicities, arrow directions, branch shapes), so
-    C2 and D3 shapes come back as B2 and A3.  Components are joined by
-    union over typ's cached bond list: each kept bond links the heads of
-    its ends, the smaller node becoming the head.  A component's nodes in
-    increasing order are its positions 0..k-1, and its shape is k plus its
-    bonds between positions; _identify names each shape once and returns
-    the labeling as positions, which are mapped back to nodes here.
+    C2 and D3 shapes come back as B2 and A3.  The kept nodes become a bit
+    mask, bit i for node i + 1; each component grows from the lowest kept
+    node left by ORing the neighbour masks of the nodes it reaches, and
+    each connected mask is named once per type by _component.
     """
-    nodes = checked_nodes(typ, kept)
-    head = {u: u for u in nodes}
-    bonds = []
-    for p, q, apq, aqp in _bonds(typ):
-        u, v = p + 1, q + 1
-        if u in head and v in head:
-            bonds.append((u, v, apq, aqp))
-            while head[u] != u:
-                u = head[u]
-            while head[v] != v:
-                v = head[v]
-            head[max(u, v)] = min(u, v)
-    comps: dict[int, list[int]] = {}  # head -> its component's nodes, increasing
-    pos = {}
-    for u in nodes:  # head[u] <= u was resolved first, so it points at its head
-        h = head[u] = head[head[u]]
-        comp = comps.setdefault(h, [])
-        pos[u] = len(comp)
-        comp.append(u)
-    shapes: dict[int, list[tuple[int, int, int, int]]] = {h: [] for h in comps}
-    for u, v, apq, aqp in bonds:  # sorted, as bonds come sorted and positions rise with nodes
-        shapes[head[u]].append((pos[u], pos[v], apq, aqp))
+    return _components(typ, sum(1 << (u - 1) for u in checked_nodes(typ, kept)))
+
+
+def _components(typ: SimpleType, mask: int) -> tuple[Component, ...]:
+    """subdiagram_components on a mask of nodes already checked, bit i for node i + 1."""
+    neighbours = _neighbours(typ)
     out = []
-    for comp, shape in zip(comps.values(), shapes.values()):
-        ctyp, order = _identify(len(comp), tuple(shape))
-        out.append(Component(ctyp, tuple(comp[i] for i in order)))
+    while mask:
+        new, comp = mask & -mask, 0
+        while new:  # new: nodes reached in the last step, not yet in comp
+            comp |= new
+            mask ^= new
+            reach = 0
+            while new:
+                low = new & -new
+                reach |= neighbours[low.bit_length() - 1]
+                new ^= low
+            new = reach & mask
+        out.append(_component(typ, comp))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _neighbours(typ: SimpleType) -> tuple[int, ...]:
+    """One int per node: bit v of entry u is set when 0-based nodes u and v are bonded."""
+    out = [0] * typ.rank
+    for p, q, _, _ in _bonds(typ):
+        out[p] |= 1 << q
+        out[q] |= 1 << p
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _component(typ: SimpleType, mask: int) -> Component:
+    """The Component on a connected node mask: its nodes in increasing order are
+    positions 0..k-1, and _identify names its shape, k plus its bonds between
+    positions, once, returning a labeling by positions that is mapped to nodes."""
+    nodes = [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
+    pos = {u - 1: k for k, u in enumerate(nodes)}
+    shape = tuple(  # sorted, as bonds come sorted and positions rise with nodes
+        (pos[p], pos[q], apq, aqp) for p, q, apq, aqp in _bonds(typ) if p in pos and q in pos
+    )
+    ctyp, order = _identify(len(nodes), shape)
+    return Component(ctyp, tuple(nodes[i] for i in order))
 
 
 @lru_cache(maxsize=None)

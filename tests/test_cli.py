@@ -388,6 +388,22 @@ def test_argparse_errors_of_normal_size_stay_whole(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("dim", "A2", "-1,2"), "weight (-1, 2) is not dominant"),
+        (("dual", "A2", "-1,-2"), "weight (-1, -2) is not dominant"),
+        (("minorbit", "A2", "-1,2"), "weight (-1, 2) is not dominant"),
+        (("levi", "A2", "-1,2"), "nodes [-1, 2] out of range for A2"),
+        (("grade", "A2", "-1"), "nodes [-1] out of range for A2"),
+    ],
+)
+def test_lists_starting_with_a_minus_reach_the_library_checks(capsys, argv, message):
+    """A list such as -1,2 is the argument, not an unknown option, so the
+    library's own check refuses it rather than argparse's missing argument."""
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 # `minorb --help` and every subcommand's, at 80 columns, taken while argparse
 # still read the integer arguments itself.
 HELP = json.loads((Path(__file__).parent / "help.json").read_text())

@@ -17,10 +17,11 @@ from minorb import (
     root_to_weight,
     table_types,
 )
+from minorb import grading, rootsys
 from minorb.repdim import dim_irrep_product
 from minorb.rootsys import root_columns
 
-from util import MID_TYPES
+from util import MID_TYPES, components_by_matrix
 
 
 def test_grading_pinned_small():
@@ -169,6 +170,26 @@ def test_branch_top_weyl_dimension_equals_root_count(typ):
             (top,) = rep.grades[k]
             weyl = dim_irrep_product((c.typ, w) for c, w in zip(comps, top.weights))
             assert weyl == col.count(k) == top.dim, (node, k)
+
+
+@pytest.mark.parametrize(
+    "typ", table_types(24) + [SimpleType(f, MAX_RANK) for f in "ABCD"], ids=str
+)
+def test_branch_components_match_whole_matrices(typ, monkeypatch):
+    """branch_adjoint names its Levi components from the bit mask of every
+    other node; they are the components the whole-matrix route names."""
+    named = []
+
+    def spy(t, mask):
+        named.append(rootsys._components(t, mask))
+        return named[-1]
+
+    monkeypatch.setattr(grading, "_components", spy)
+    for node in range(1, typ.rank + 1):
+        rep = branch_adjoint(typ, node)
+        want = components_by_matrix(typ, [i for i in range(1, typ.rank + 1) if i != node])
+        assert named.pop() == want, node
+        assert [s.dim for s in rep.grades[0]] == [dim_simple(c.typ) for c in want] + [1]
 
 
 @pytest.mark.parametrize(

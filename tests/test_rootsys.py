@@ -599,6 +599,7 @@ def test_component_cache_key_holds_no_node_numbers():
     """Every window of k consecutive nodes of A64 is the same shape, the A_k
     chain, so labeling all of them adds exactly one cache entry per k."""
     a64 = SimpleType("A", 64)
+    rootsys._component.cache_clear()  # a warm mask cache would hide _identify
     rootsys._identify.cache_clear()
     for k in range(1, 65):
         for s in range(1, 66 - k):
@@ -612,6 +613,7 @@ def test_component_shapes_shared_across_types_never_collide():
     """From a cold cache, every node subset of five types whose subdiagrams
     share shapes (chains of single bonds, B and C ends, forks) is named as the
     whole-matrix route names it, so no two shapes meet in one cache key."""
+    rootsys._component.cache_clear()
     rootsys._identify.cache_clear()
     for typ in [SimpleType("B", 5), SimpleType("C", 5), F4, SimpleType("D", 5), E6]:
         for mask in range(1 << typ.rank):
