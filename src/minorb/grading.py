@@ -4,14 +4,14 @@ Fixing a node i grades g by the coefficient of alpha_i: g_k is spanned
 by the root spaces with coefficient k, plus the Cartan at k = 0.  The
 grade-one piece V(alpha_i) is the degree-one part of the nilradical of
 the maximal parabolic at i; as a module over the semisimple Levi its
-lowest weight vector is the root vector of alpha_i itself, so the
-lowest weight is read off the Cartan row of i restricted to the kept
-components.  branch_adjoint refines the grading into irreducible
-summands.  At a maximal parabolic every grade g_k with k >= 1 is one
-irreducible Levi module (Azad, Barry and Seitz, "On the structure of
-parabolic subgroups", Comm. Algebra 18 (1990)), so its highest weight is
-read off its highest root, the last root of grade k in root order, and
-its dimension is the grade's root count.
+lowest weight vector is the root vector of alpha_i itself, the first
+root of grade one in root order.  At a maximal parabolic every grade g_k
+with k >= 1 is one irreducible Levi module (Azad, Barry and Seitz, "On
+the structure of parabolic subgroups", Comm. Algebra 18 (1990)), so its
+highest weight is read off its highest root, the last root of grade k in
+root order, and its dimension is the grade's root count.  Every weight
+here is one positive root restricted to the kept components; the tests
+check them against the dual weight and the Weyl dimension over the Levi.
 """
 
 from __future__ import annotations
@@ -19,11 +19,10 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .parabolic import LeviData, levi_data
-from .repdim import dim_irrep_product, dual_weight
 from .rootsys import (
+    Component,
     SimpleType,
     _components,
-    cartan_matrix,
     checked_nodes,
     dim_simple,
     highest_root,
@@ -85,26 +84,25 @@ def dim_v_alpha(typ: SimpleType, node: int) -> int:
     return root_columns(typ)[ix].count(1)
 
 
-def lowest_weight_of_v_alpha(typ: SimpleType, node: int) -> VAlphaData:
-    """Lowest and highest weights of V(alpha_i), with its Weyl dimension.
+def _restricted(typ: SimpleType, comps: tuple[Component, ...], k: int) -> tuple[Weight, ...]:
+    """Positive root k in fundamental weights, restricted to each component."""
+    m = root_to_weight(typ, positive_roots(typ)[k])
+    return tuple(tuple(m[orig - 1] for orig in comp.nodes) for comp in comps)
 
-    The dimension here comes from the Weyl product over the Levi, not
-    from counting grade-one roots, so the two routes check each other.
+
+def lowest_weight_of_v_alpha(typ: SimpleType, node: int) -> VAlphaData:
+    """Lowest and highest weights of V(alpha_i), with its dimension.
+
+    The lowest weight is alpha_i's, the first root of grade one; the
+    highest is the last root of grade one (Azad-Barry-Seitz 1990); the
+    dimension is the number of roots of grade one.
     """
-    (node,) = checked_nodes(typ, [node])
     levi = levi_data(typ, [node])
-    row = cartan_matrix(typ)[node - 1]
-    lowest = tuple(
-        tuple(row[orig - 1] for orig in comp.nodes) for comp in levi.components
-    )
-    highest = tuple(
-        dual_weight(comp.typ, tuple(-x for x in low))
-        for comp, low in zip(levi.components, lowest)
-    )
-    dim = dim_irrep_product(
-        (comp.typ, w) for comp, w in zip(levi.components, highest)
-    )
-    return VAlphaData(typ, node, levi, lowest, highest, dim)
+    (node,) = levi.removed
+    col = root_columns(typ)[node - 1]
+    lowest = _restricted(typ, levi.components, col.index(1))
+    highest = _restricted(typ, levi.components, col.rindex(1))
+    return VAlphaData(typ, node, levi, lowest, highest, col.count(1))
 
 
 def branch_adjoint(typ: SimpleType, node: int) -> BranchReport:
@@ -120,7 +118,6 @@ def branch_adjoint(typ: SimpleType, node: int) -> BranchReport:
     """
     (node,) = checked_nodes(typ, [node])
     comps = _components(typ, ((1 << typ.rank) - 1) ^ (1 << (node - 1)))
-    pos = positive_roots(typ)
     ix = node - 1
     col = root_columns(typ)[ix]
     max_grade = highest_root(typ)[ix]
@@ -138,7 +135,5 @@ def branch_adjoint(typ: SimpleType, node: int) -> BranchReport:
     grades = {0: tuple(zero)}
     for k in range(1, max_grade + 1):
         # positive_roots ascends by height, so a grade's last root is its top
-        m = root_to_weight(typ, pos[col.rindex(k)])
-        weights = tuple(tuple(m[orig - 1] for orig in comp.nodes) for comp in comps)
-        grades[k] = (BranchSummand(weights, col.count(k)),)
+        grades[k] = (BranchSummand(_restricted(typ, comps, col.rindex(k)), col.count(k)),)
     return BranchReport(typ, node, grades, max_grade)

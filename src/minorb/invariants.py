@@ -31,7 +31,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple, Union
 
-from .parabolic import _u_mask, closure_is_smooth, support_masks
+from .parabolic import closure_is_smooth, dim_u, support_masks
 from .rootsys import SimpleType, canonicalize, checked_nodes, checked_rank, dim_simple
 from .rootsys import _components, root_columns
 
@@ -77,7 +77,7 @@ class Witness(NamedTuple):
     @property
     def dim_h(self) -> int:
         dim = sum(_dim_factor(f) for f in self.factors)
-        return dim + _u_mask(self.ambient, self.unipotent_support or ()).bit_count()
+        return dim + dim_u(self.ambient, self.unipotent_support or ())
 
     @property
     def codim(self) -> int:

@@ -38,7 +38,7 @@ from minorb import (
 )
 from minorb.cli import MAX_TABLE_RANK, main as cli_main
 
-from util import d_by_sweep, dim_u_by_accounting, modules_below
+from util import d_by_sweep, dim_u_by_accounting, modules_below, v_alpha_by_dual_weight
 
 TYPES = (
     [parse_type(f"A{n}") for n in range(1, 13)]
@@ -179,9 +179,11 @@ def test_criterion_6_v_alpha_three_routes():
     for name, node, expected in V_ALPHA_SPOTS:
         typ = parse_type(name)
         via_grading = grade_adjoint(typ, node).dims[1]
-        via_roots = dim_v_alpha(typ, node)
-        via_weyl = lowest_weight_of_v_alpha(typ, node).dim
+        via_roots = sum(1 for beta in positive_roots(typ) if beta[node - 1] == 1)
+        # the Weyl product over the Levi of the dual of the Cartan row's negation
+        via_weyl = v_alpha_by_dual_weight(typ, node)[2]
         assert via_grading == via_roots == via_weyl == expected, (name, node)
+        assert dim_v_alpha(typ, node) == lowest_weight_of_v_alpha(typ, node).dim == expected
     report(6, "V(alpha) spot dimensions agree across all three routes")
 
 

@@ -21,7 +21,7 @@ from minorb import grading, rootsys
 from minorb.repdim import dim_irrep_product
 from minorb.rootsys import root_columns
 
-from util import MID_TYPES, components_by_matrix
+from util import MID_TYPES, components_by_matrix, v_alpha_by_dual_weight
 
 
 def test_grading_pinned_small():
@@ -55,10 +55,11 @@ def test_grading_properties(typ):
 
 @pytest.mark.parametrize("typ", MID_TYPES, ids=str)
 def test_v_alpha_weyl_dimension_matches_root_count(typ):
-    """Weyl product over the Levi against the direct grade-one root count."""
+    """Weyl product over the Levi, of the dual of the Cartan row's negation,
+    against the direct grade-one root count and lowest_weight_of_v_alpha."""
     for node in range(1, typ.rank + 1):
-        data = lowest_weight_of_v_alpha(typ, node)
-        assert data.dim == dim_v_alpha(typ, node)
+        _, _, weyl = v_alpha_by_dual_weight(typ, node)
+        assert weyl == dim_v_alpha(typ, node) == lowest_weight_of_v_alpha(typ, node).dim
 
 
 # Lowest weights of V(alpha_i) from the published case analysis, given
@@ -146,14 +147,18 @@ def test_branch_totals(typ):
                 assert [s.dim for s in summands] == [grading.dims[k]], (node, k)
 
 
-@pytest.mark.parametrize("typ", table_types(12), ids=str)
+@pytest.mark.parametrize(
+    "typ", table_types(24) + [SimpleType(f, MAX_RANK) for f in "ABCD"], ids=str
+)
 def test_grade_one_top_matches_v_alpha(typ):
-    """The grade-one summand against V(alpha_i) from the Cartan row and
-    dual_weight: same highest weights, same Weyl dimension."""
+    """V(alpha_i) read off the grade-one roots against the grade-one summand
+    and the reference route: the Cartan row restricted to the components,
+    the dual of its negation, and the Weyl product of that."""
     for node in range(1, typ.rank + 1):
         (top,) = branch_adjoint(typ, node).grades[1]
         data = lowest_weight_of_v_alpha(typ, node)
         assert (data.highest, data.dim) == (top.weights, top.dim), node
+        assert (data.lowest, data.highest, data.dim) == v_alpha_by_dual_weight(typ, node), node
 
 
 @pytest.mark.parametrize(
@@ -220,3 +225,7 @@ def test_node_out_of_range():
         grade_adjoint(parse_type("A2"), 3)
     with pytest.raises(ValueError):
         dim_v_alpha(parse_type("A2"), 0)
+    for fn in (lowest_weight_of_v_alpha, branch_adjoint):
+        for node in (0, 3):
+            with pytest.raises(ValueError, match=rf"^nodes \[{node}\] out of range for A2$"):
+                fn(parse_type("A2"), node)

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 from itertools import combinations
@@ -15,6 +16,7 @@ from minorb import (
     BoundCertificate,
     SimpleType,
     Torus,
+    Witness,
     branch_adjoint,
     compute_d,
     compute_m,
@@ -154,6 +156,17 @@ def test_d_witnesses_with_unipotent_part():
     a4 = compute_d(parse_type("A4")).witness
     assert a4.unipotent_support is None
     assert str(a4) == "A3 x T1"
+
+
+@pytest.mark.parametrize("support", [(0,), (9,), (0, 7)], ids=str)
+def test_witness_unipotent_support_out_of_range(support):
+    """dim_h checks the support's nodes, as dim_u does, rather than reading
+    a neighbouring node's mask or an index past the end."""
+    e6, e8 = SimpleType("E", 6), SimpleType("E", 8)
+    message = re.escape(f"nodes {sorted(support)} out of range for E8")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Witness(e8, (e6,), support).dim_h
+    assert Witness(e8, (e6,), (7, 8)).dim_h == 162
 
 
 @pytest.mark.parametrize("typ", ALL_TYPES, ids=str)

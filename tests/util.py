@@ -12,7 +12,10 @@ from minorb import (
     cartan_matrix,
     compute_r,
     dim_irrep,
+    dim_irrep_product,
     dim_simple,
+    dual_weight,
+    levi_data,
     positive_roots,
     subdiagram_components,
     sukhanov_refined,
@@ -178,6 +181,22 @@ def weight_by_matrix(typ: SimpleType, root) -> tuple[int, ...]:
     a = cartan_matrix(typ)
     n = typ.rank
     return tuple(sum(a[j][i] * root[j] for j in range(n)) for i in range(n))
+
+
+def v_alpha_by_dual_weight(typ: SimpleType, node: int):
+    """Lowest weight, highest weight and dimension of V(alpha_i) over the Levi.
+
+    The reference route for lowest_weight_of_v_alpha, which reads all three
+    off the grade-one roots: the lowest weight is the Cartan row of the node
+    restricted to each kept component, the highest weight is the dual of its
+    negation per component, and the dimension is their Weyl product.
+    """
+    row = cartan_matrix(typ)[node - 1]
+    comps = levi_data(typ, [node]).components
+    lowest = tuple(tuple(row[i - 1] for i in c.nodes) for c in comps)
+    highest = tuple(dual_weight(c.typ, [-x for x in w]) for c, w in zip(comps, lowest))
+    dim = dim_irrep_product((c.typ, w) for c, w in zip(comps, highest))
+    return lowest, highest, dim
 
 
 def components_by_matrix(typ: SimpleType, kept) -> tuple[Component, ...]:
