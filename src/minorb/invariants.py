@@ -18,10 +18,13 @@ pairs, and only pairs are evaluated; the tests sweep every support as a
 cross-check.  As r >= 2 for every simple type, the refined bound is
 evaluated only at the nodes where dim u + 1 + min(dim V(alpha_i), 2), its
 floor, does not exceed the least value in hand.
-r and d are each certified by a Witness subgroup of that codimension:
-reductive, or for d possibly H' * U(S) inside a parabolic.  The
-certificates attaining d keep their evaluation order: reductive, refined
-by node, then crude pairs in lexicographic order.
+r and d are each certified by a Witness subgroup of that codimension.
+Each d certificate names one: r's witness; for crude(S), the Levi's
+simple factors times U(S); for refined(i), the same with the r-least
+factor swapped for its r witness.  The certificates attaining d keep
+their evaluation order (reductive, refined by node, crude pairs in
+lexicographic order), and d's witness is the first one's with no torus
+factor, else the first's.  C2 and D3 keep the caller's numbering.
 """
 
 from __future__ import annotations
@@ -110,7 +113,6 @@ class DResult(NamedTuple):
 
 def compute_m(typ: SimpleType) -> MResult:
     """Minimal highest weight orbit dimension and the nodes attaining it."""
-    typ = canonicalize(typ)
     dims = [mask.bit_count() + 1 for mask in support_masks(typ)]
     m = min(dims)
     return MResult(m, m - 1, tuple(i for i, v in enumerate(dims, 1) if v == m))
@@ -167,9 +169,9 @@ def sukhanov_refined(typ: SimpleType, node: int) -> BoundCertificate:
     It reads dim u of the maximal parabolic at the node (a popcount of its
     support mask), dim V(alpha_i) (a count on its root column) and the
     types of the Levi components, named from the mask of every other node
-    by the core of subdiagram_components; no LeviData is built.
+    by the core of subdiagram_components; no LeviData is built.  The node
+    is in typ's own numbering: node 1 of D3 is its centre, not A3's end.
     """
-    typ = canonicalize(typ)
     (node,) = checked_nodes(typ, [node])
     head, in_module = _head_and_module(typ, node)
     others = ((1 << typ.rank) - 1) ^ (1 << (node - 1))  # every other node, as a mask
@@ -182,16 +184,22 @@ def sukhanov_refined(typ: SimpleType, node: int) -> BoundCertificate:
     return BoundCertificate("refined", (node,), value, detail)
 
 
-def _existence_witness(typ: SimpleType) -> Witness:
-    if typ == SimpleType("E", 7):
-        return Witness(typ, (SimpleType("B", 5),), (1,))
-    if typ == SimpleType("E", 8):
-        return Witness(typ, (SimpleType("E", 6),), (7, 8))
-    return compute_r(typ).witness
+def _witness(typ: SimpleType, cert: BoundCertificate) -> Witness:
+    """The subgroup that cert names (see above); its codimension is cert.value
+    unless a refined cert's value used dim V(alpha_i) < r(L')."""
+    if cert.source == "reductive":
+        return compute_r(typ).witness
+    others = ((1 << typ.rank) - 1) ^ sum(1 << (i - 1) for i in cert.nodes)
+    factors = [c.typ for c in _components(typ, others)]
+    if cert.source == "refined":
+        k = min(range(len(factors)), key=lambda j: compute_r(factors[j]).r)
+        factors[k : k + 1] = compute_r(factors[k]).witness.factors
+    return Witness(typ, tuple(factors), cert.nodes)
 
 
 def compute_d(typ: SimpleType) -> DResult:
-    """Minimum over the certificate families, with the attaining witness.
+    """Minimum over the certificate families, with the attaining witness:
+    the first winner's subgroup with no torus factor, else the first's.
 
     The crude family is evaluated on pairs only, which suffices because
     dim u(S) is strictly increasing in S.  Each pair's dim u(S) is the
@@ -202,7 +210,6 @@ def compute_d(typ: SimpleType) -> DResult:
     r >= 2 for every simple type (A1 > T1 attains it; no simple group has
     a reductive subgroup of codimension 1), so a skipped node exceeds d.
     """
-    typ = canonicalize(typ)
     n = typ.rank
     r_value, r_witness = compute_r(typ)
     bounds = [BoundCertificate("reductive", (), r_value, f"H = {r_witness}")]
@@ -220,7 +227,8 @@ def compute_d(typ: SimpleType) -> DResult:
         for nodes, u in zip(combinations(range(1, n + 1), 2), sizes)
         if u + 2 == d
     )
-    witness = _existence_witness(typ)
+    witnesses = [_witness(typ, c) for c in certificates]
+    witness = next((w for w in witnesses if Torus not in map(type, w.factors)), witnesses[0])
     if witness.codim != d:
         raise RuntimeError(
             f"witness {witness} of {typ} has codimension {witness.codim}, not d = {d}"

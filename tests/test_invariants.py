@@ -22,6 +22,7 @@ from minorb import (
     compute_m,
     compute_r,
     dim_min_orbit,
+    dim_u,
     dim_v_alpha,
     full_report,
     grade_adjoint,
@@ -34,6 +35,8 @@ from minorb import (
     sukhanov_refined,
     table_types,
 )
+from minorb.cli import MAX_TABLE_RANK
+from minorb.invariants import _witness
 
 from util import (
     ALL_TYPES,
@@ -169,7 +172,10 @@ def test_witness_unipotent_support_out_of_range(support):
     assert Witness(e8, (e6,), (7, 8)).dim_h == 162
 
 
-@pytest.mark.parametrize("typ", ALL_TYPES, ids=str)
+WITNESS_TYPES = table_types(MAX_TABLE_RANK) + [SimpleType(f, MAX_RANK) for f in "ABCD"]
+
+
+@pytest.mark.parametrize("typ", WITNESS_TYPES, ids=str)
 def test_d_witness_is_r_witness_without_unipotent_part(typ):
     """Except for E7 and E8, d is certified by r's own reductive witness."""
     r_witness = compute_r(typ).witness
@@ -178,11 +184,24 @@ def test_d_witness_is_r_witness_without_unipotent_part(typ):
         assert compute_d(typ).witness == r_witness
 
 
+@pytest.mark.parametrize("typ", WITNESS_TYPES, ids=str)
+def test_every_winner_witness_has_the_winner_codimension(typ):
+    """Each certificate attaining d names a subgroup of codimension d, so the
+    rule that picks d's witness among them may pick any: reductive ones
+    through r's witness, refined ones through r(L') rather than V(alpha_i)."""
+    result = compute_d(typ)
+    for cert in result.certificates:
+        witness = _witness(typ, cert)
+        assert witness.codim == cert.value == result.d, (cert, str(witness))
+        assert witness.unipotent_support == (cert.nodes or None)
+    assert result.witness in [_witness(typ, c) for c in result.certificates]
+
+
 WRONG_WITNESS = """
 import sys
 from minorb import SimpleType, invariants
 
-invariants._existence_witness = lambda typ: invariants.Witness(
+invariants._witness = lambda typ, cert: invariants.Witness(
     typ, (SimpleType("A", 1),)
 )
 try:
@@ -286,6 +305,19 @@ def test_refined_bound_by_independent_routes(typ):
         assert sukhanov_refined(typ, node) == want
         assert minorb.invariants._head_and_module(typ, node) == (head, in_module)
         assert head + min(in_module, 2) <= want.value
+
+
+@pytest.mark.parametrize(
+    "typ,argmin", [(SimpleType("C", 2), (1, 2)), (SimpleType("D", 3), (2, 3))], ids=str
+)
+def test_nodes_keep_the_callers_numbering(typ, argmin):
+    """C2 and D3 are read in their own numbering, not as B2 and A3: node 1 of
+    D3 is its centre, and node 1 of C2 its short root."""
+    for node in range(1, typ.rank + 1):
+        arith = f"{dim_u(typ, [node]) + 1} + min({dim_v_alpha(typ, node)}, "
+        assert arith in sukhanov_refined(typ, node).detail
+    assert compute_m(typ).argmin == argmin
+    assert compute_d(typ) == d_by_every_pair(typ)
 
 
 @pytest.mark.parametrize("family", "ABCD")

@@ -8,6 +8,7 @@ from minorb import (
     BoundCertificate,
     Component,
     SimpleType,
+    Witness,
     canonicalize,
     cartan_matrix,
     compute_r,
@@ -21,7 +22,7 @@ from minorb import (
     sukhanov_refined,
     table_types,
 )
-from minorb.invariants import DResult, _existence_witness
+from minorb.invariants import DResult
 from minorb.parabolic import support_masks
 from minorb.rootsys import checked_nodes
 
@@ -117,15 +118,21 @@ def d_by_sweep(typ: SimpleType) -> tuple[int, tuple[BoundCertificate, ...]]:
     return d, tuple(c for c in candidates if c.value == d)
 
 
+PUBLISHED_D_WITNESS = {
+    SimpleType("E", 7): Witness(SimpleType("E", 7), (SimpleType("B", 5),), (1,)),
+    SimpleType("E", 8): Witness(SimpleType("E", 8), (SimpleType("E", 6),), (7, 8)),
+}
+
+
 def d_by_every_pair(typ: SimpleType) -> DResult:
     """compute_d with a certificate built for every crude pair, then filtered.
 
     The reference route for compute_d, which keeps each pair's dim u(S) as
     a bare int and builds certificates only for the pairs attaining d.  Here
     every candidate becomes a BoundCertificate in evaluation order, and the
-    ones with the least value are kept, with the same witness.
+    ones with the least value are kept.  The witness is E7's or E8's from
+    the published case analysis, which lie in a parabolic, and r's otherwise.
     """
-    typ = canonicalize(typ)
     n = typ.rank
     candidates = _reductive_and_refined(typ)
     masks = support_masks(typ)
@@ -133,7 +140,8 @@ def d_by_every_pair(typ: SimpleType) -> DResult:
         u = (x | y).bit_count()
         candidates.append(BoundCertificate("crude", nodes, u + 2, f"dim u(S) + 2 = {u} + 2"))
     d = min(c.value for c in candidates)
-    return DResult(d, tuple(c for c in candidates if c.value == d), _existence_witness(typ))
+    witness = PUBLISHED_D_WITNESS.get(typ) or compute_r(typ).witness
+    return DResult(d, tuple(c for c in candidates if c.value == d), witness)
 
 
 def hilbert_degree(typ: SimpleType, weight) -> int:
