@@ -374,19 +374,28 @@ def _cmd_table(typ, args):
     return payload, "\n".join(lines + notes)
 
 
-_HANDLERS = {
-    "cartan": _cmd_cartan,
-    "icartan": _cmd_icartan,
-    "roots": _cmd_roots,
-    "dim": _cmd_dim,
-    "dual": _cmd_dual,
-    "levi": _cmd_levi,
-    "grade": _cmd_grade,
-    "branch": _cmd_branch,
-    "valpha": _cmd_valpha,
-    "minorbit": _cmd_minorbit,
-    "invariants": _cmd_invariants,
-    "table": _cmd_table,
+# name -> (handler, its --help line, {argument: add_argument options}), in help order
+_COMMANDS = {
+    "cartan": (_cmd_cartan, "Cartan matrix of a simple type", {"type": {}}),
+    "icartan": (_cmd_icartan, "inverse Cartan matrix scaled by its determinant", {"type": {}}),
+    "roots": (_cmd_roots, "positive roots in simple-root coordinates", {"type": {}}),
+    "dim": (_cmd_dim, "dimension of the irreducible module of a highest weight",
+            {"type": {}, "weight": {"help": "comma-separated coordinates, e.g. 1,0,2"}}),
+    "dual": (_cmd_dual, "highest weight of the dual module", {"type": {}, "weight": {}}),
+    "levi": (_cmd_levi, "Levi decomposition of the parabolic removing a node set",
+             {"type": {}, "nodes": {"help": "comma-separated nodes, e.g. 7,8"}}),
+    "grade": (_cmd_grade, "adjoint grading by the coefficient of one simple root",
+              {"type": {}, "node": {}, "--mod": {"help": "fold grades modulo this period"}}),
+    "branch": (_cmd_branch, "irreducible summands of each nonnegative grade",
+               {"type": {}, "node": {}}),
+    "valpha": (_cmd_valpha, "the grade-one module V(alpha) at a node", {"type": {}, "node": {}}),
+    "minorbit": (_cmd_minorbit, "highest weight orbit data for a dominant weight",
+                 {"type": {}, "weight": {}}),
+    "invariants": (_cmd_invariants, "the m, r, d invariants with witnesses", {"type": {}}),
+    "table": (_cmd_table, "reproduce a published summary table",
+              {"number": {"metavar": "{2,3,4,5}"}, "--max-rank": {
+                  "default": "12",
+                  "help": f"largest classical rank (default 12, at most {MAX_TABLE_RANK})"}}),
 }
 
 
@@ -432,49 +441,14 @@ def _build_parser() -> argparse.ArgumentParser:
     indent = "\n" + " " * len("usage: minorb ")
     parser = _Parser(
         prog="minorb",
-        usage=f"%(prog)s [-h]{indent}{{{','.join(_HANDLERS)}}}{indent}...",
+        usage=f"%(prog)s [-h]{indent}{{{','.join(_COMMANDS)}}}{indent}...",
         description="Exact root-system combinatorics and minimal-orbit invariants.",
     )
     sub = parser.add_subparsers(dest="command", required=True, prog="minorb")
-
-    def add(name, help_text):
-        return sub.add_parser(name, parents=[common], help=help_text)
-
-    add("cartan", "Cartan matrix of a simple type").add_argument("type")
-    add("icartan", "inverse Cartan matrix scaled by its determinant").add_argument(
-        "type"
-    )
-    add("roots", "positive roots in simple-root coordinates").add_argument("type")
-    p = add("dim", "dimension of the irreducible module of a highest weight")
-    p.add_argument("type")
-    p.add_argument("weight", help="comma-separated coordinates, e.g. 1,0,2")
-    p = add("dual", "highest weight of the dual module")
-    p.add_argument("type")
-    p.add_argument("weight")
-    p = add("levi", "Levi decomposition of the parabolic removing a node set")
-    p.add_argument("type")
-    p.add_argument("nodes", help="comma-separated nodes, e.g. 7,8")
-    p = add("grade", "adjoint grading by the coefficient of one simple root")
-    p.add_argument("type")
-    p.add_argument("node")
-    p.add_argument("--mod", help="fold grades modulo this period")
-    p = add("branch", "irreducible summands of each nonnegative grade")
-    p.add_argument("type")
-    p.add_argument("node")
-    p = add("valpha", "the grade-one module V(alpha) at a node")
-    p.add_argument("type")
-    p.add_argument("node")
-    p = add("minorbit", "highest weight orbit data for a dominant weight")
-    p.add_argument("type")
-    p.add_argument("weight")
-    add("invariants", "the m, r, d invariants with witnesses").add_argument("type")
-    p = add("table", "reproduce a published summary table")
-    p.add_argument("number", metavar="{2,3,4,5}")
-    p.add_argument(
-        "--max-rank",
-        default="12",
-        help=f"largest classical rank (default 12, at most {MAX_TABLE_RANK})",
-    )
+    for name, (_, help_text, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        for argument, options in arguments.items():
+            p.add_argument(argument, **options)
     return parser
 
 
@@ -484,7 +458,7 @@ def main(argv=None) -> int:
         try:
             args = _build_parser().parse_args(argv)
             typ = None if args.command == "table" else _typ(args.type)
-            payload, text = _HANDLERS[args.command](typ, args)
+            payload, text = _COMMANDS[args.command][0](typ, args)
         except ValueError as err:
             print(f"error: {_clip_arguments(str(err), argv)}", file=sys.stderr)
             return 2

@@ -148,8 +148,7 @@ def _minimal_reductive(typ: SimpleType) -> tuple[Factor, ...]:
 @lru_cache(maxsize=None)  # a catalogue lookup, asked once per Levi factor
 def compute_r(typ: SimpleType) -> RResult:
     """Codimension of the minimal proper reductive subgroup, with witness."""
-    typ = canonicalize(typ)
-    witness = Witness(typ, _minimal_reductive(typ))
+    witness = Witness(typ, _minimal_reductive(canonicalize(typ)))
     return RResult(witness.codim, witness)
 
 

@@ -151,20 +151,15 @@ def symmetrizers(typ: SimpleType) -> Vector:
     return _diagram(typ)[1]
 
 
-# Ancestry arrays, filled by positive_roots in the same pass that builds the roots.
-_ANCESTRY: dict[SimpleType, tuple[array, array]] = {}
-
-
 @lru_cache(maxsize=None)
-def positive_roots(typ: SimpleType) -> tuple[Vector, ...]:
-    """All positive roots, by height then lexicographically.
+def _root_pass(typ: SimpleType) -> tuple[tuple[Vector, ...], array, array]:
+    """The positive roots with their ancestry arrays, from one pass.
 
-    One pass, height by height, that probes no root string.  beta + alpha_i
+    The pass goes height by height and probes no root string.  beta + alpha_i
     is a root iff p_i > <beta, coroot_i>, where p_i counts how often alpha_i
     can be subtracted from beta, and p_i(beta + alpha_i) = p_i(beta) + 1.
     Each root carries its depths p_i and coroot pairings packed a byte per
-    node, so one subtraction marks all its up nodes.  The same pass records
-    the ancestry that root_ancestry returns.
+    node, so one subtraction marks all its up nodes.
     """
     n = typ.rank
     # A root is one int, a byte per node with node 1 most significant, so
@@ -210,23 +205,26 @@ def positive_roots(typ: SimpleType) -> tuple[Vector, ...]:
                 else:
                     child[1] += depth
         layer = nxt
-    _ANCESTRY[typ] = parent, node
-    return tuple(tuple(code.to_bytes(n, "big")) for code in codes)
+    return tuple(tuple(code.to_bytes(n, "big")) for code in codes), parent, node
 
 
-@lru_cache(maxsize=None)  # dim_irrep reads it once per weight: one cache hit
+@lru_cache(maxsize=None)  # bench/spans.py counts root builds at its cache misses
+def positive_roots(typ: SimpleType) -> tuple[Vector, ...]:
+    """All positive roots, by height then lexicographically."""
+    return _root_pass(typ)[0]
+
+
 def root_ancestry(typ: SimpleType) -> tuple[array, array]:
     """One step down from every positive root, as two flat index arrays.
 
     For ``beta = positive_roots(typ)[k]``, ``node[k]`` is the lowest 0-based
     node i such that beta - alpha_i is a positive root or zero, and
     ``parent[k]`` is the index of that root, or -1 when beta is alpha_i
-    itself.  positive_roots records both while it builds the roots.  Roots
-    come by height, so every parent precedes its child, and any linear
-    form on roots follows from its values on the simple roots in one pass.
+    itself.  Both come from the pass that builds the roots.  Roots come by
+    height, so every parent precedes its child, and any linear form on
+    roots follows from its values on the simple roots in one pass.
     """
-    positive_roots(typ)
-    return _ANCESTRY[typ]
+    return _root_pass(typ)[1:]
 
 
 @lru_cache(maxsize=None)

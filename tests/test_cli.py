@@ -12,7 +12,7 @@ import pytest
 
 from minorb import MAX_RANK, MAX_WEIGHT_ENTRY, dim_irrep, parse_type
 from minorb.rootsys import MAX_QUOTED
-from minorb.cli import _HANDLERS, main
+from minorb.cli import _COMMANDS, main
 
 
 def run(capsys, *argv):
@@ -369,7 +369,7 @@ def test_argparse_errors_are_clipped_and_return_2(capsys, argv, quoted):
 
 def test_argparse_errors_of_normal_size_stay_whole(capsys):
     code, out, err = run(capsys, "frob")
-    choices = ", ".join(f"'{c}'" for c in _HANDLERS)
+    choices = ", ".join(f"'{c}'" for c in _COMMANDS)
     assert (code, out) == (2, "")
     assert err == f"error: argument command: invalid choice: 'frob' (choose from {choices})\n"
     assert run(capsys) == (2, "", "error: the following arguments are required: command\n")
@@ -410,7 +410,7 @@ HELP = json.loads((Path(__file__).parent / "help.json").read_text())
 
 
 def test_help_covers_every_subcommand():
-    assert list(HELP) == ["minorb", *_HANDLERS]
+    assert list(HELP) == ["minorb", *_COMMANDS]
 
 
 @pytest.mark.parametrize("command", HELP)

@@ -22,7 +22,7 @@ import pytest
 from jsonschema import Draft202012Validator
 
 from minorb import table_types
-from minorb.cli import _HANDLERS, _build_parser, main
+from minorb.cli import _COMMANDS, _build_parser, main
 
 GOLDEN = Path(__file__).with_name("golden.json")
 SCHEMA = Path(__file__).parents[1] / "schema" / "report.json"
@@ -146,7 +146,7 @@ SCHEMA_EDITS = {
 }
 
 
-@pytest.mark.parametrize("command", _HANDLERS)
+@pytest.mark.parametrize("command", _COMMANDS)
 def test_schema_closes_every_payload(golden, command):
     """Every command's payload has a closed definition: a stray key fails it.
 

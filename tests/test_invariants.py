@@ -18,6 +18,7 @@ from minorb import (
     Torus,
     Witness,
     branch_adjoint,
+    canonicalize,
     compute_d,
     compute_m,
     compute_r,
@@ -318,6 +319,16 @@ def test_nodes_keep_the_callers_numbering(typ, argmin):
         assert arith in sukhanov_refined(typ, node).detail
     assert compute_m(typ).argmin == argmin
     assert compute_d(typ) == d_by_every_pair(typ)
+
+
+@pytest.mark.parametrize("typ", [SimpleType("C", 2), SimpleType("D", 3)], ids=str)
+def test_r_witness_keeps_the_callers_type(typ):
+    """r's witness lies in the caller's type, as d's certificates do, while r
+    and the subgroup are those of the canonical type (B2, A3)."""
+    r, witness = compute_r(typ)
+    canonical = compute_r(canonicalize(typ))
+    assert witness.ambient == compute_d(typ).witness.ambient == typ
+    assert (r, str(witness)) == (canonical.r, str(canonical.witness))
 
 
 @pytest.mark.parametrize("family", "ABCD")
