@@ -9,23 +9,23 @@ root of grade one in root order.  At a maximal parabolic every grade g_k
 with k >= 1 is one irreducible Levi module (Azad, Barry and Seitz, "On
 the structure of parabolic subgroups", Comm. Algebra 18 (1990)), so its
 highest weight is read off its highest root, the last root of grade k in
-root order, and its dimension is the grade's root count.  Every weight
-here is one positive root restricted to the kept components; the tests
-check them against the dual weight and the Weyl dimension over the Levi.
+root order, and its dimension is the grade's root count.  Grade zero is
+read off the same roots, a Levi component at a time, so no component's
+roots are built.  Every weight here is one positive root restricted to
+the kept components; the tests check them against the dual weight and
+the Weyl dimension over the Levi.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .parabolic import LeviData, levi_data
+from .parabolic import LeviData, _root_bytes, _u_mask, levi_data, support_masks
 from .rootsys import (
     Component,
     SimpleType,
     _components,
     checked_nodes,
-    dim_simple,
-    highest_root,
     positive_roots,
     root_columns,
     root_to_weight,
@@ -69,9 +69,9 @@ class BranchReport(NamedTuple):
 
 def grade_adjoint(typ: SimpleType, node: int) -> GradingReport:
     """Dimension of each graded piece, keyed by grade (negatives included)."""
-    ix = checked_nodes(typ, [node])[0] - 1
-    col = root_columns(typ)[ix]
-    top = highest_root(typ)[ix]
+    (node,) = checked_nodes(typ, [node])
+    col = root_columns(typ)[node - 1]
+    top = col[-1]  # the highest root is the last root
     dims = {0: typ.rank + 2 * col.count(0)}
     for k in range(1, top + 1):
         dims[k] = dims[-k] = col.count(k)
@@ -80,8 +80,7 @@ def grade_adjoint(typ: SimpleType, node: int) -> GradingReport:
 
 def dim_v_alpha(typ: SimpleType, node: int) -> int:
     """dim of the grade-one piece, counted directly on roots."""
-    ix = checked_nodes(typ, [node])[0] - 1
-    return root_columns(typ)[ix].count(1)
+    return root_columns(typ)[checked_nodes(typ, [node])[0] - 1].count(1)
 
 
 def _restricted(typ: SimpleType, comps: tuple[Component, ...], k: int) -> tuple[Weight, ...]:
@@ -108,32 +107,28 @@ def lowest_weight_of_v_alpha(typ: SimpleType, node: int) -> VAlphaData:
 def branch_adjoint(typ: SimpleType, node: int) -> BranchReport:
     """Irreducible summands of every nonnegative grade over the Levi.
 
-    Grade zero is the Levi itself: the adjoint of each kept component
-    plus a one-dimensional center line.  For k >= 1 the grade is one
-    irreducible module (Azad-Barry-Seitz 1990), so its highest weight is
-    its highest root, the last root of grade k in positive_roots order,
-    restricted to the components, and its dimension is the number of
-    roots of grade k.  Negative grades are the duals of the positive
-    ones and are omitted.
+    Grade zero is the Levi: the adjoint of each kept component plus a
+    center line.  A root off the node has connected support, so it lies
+    in one component, whose adjoint has dimension rank + 2 * (its roots).
+    For k >= 1 the grade is one irreducible module (Azad-Barry-Seitz
+    1990) whose dimension is its number of roots.  Every highest weight
+    is a summand's last root, restricted to the components.  Negative
+    grades are the duals of the positive ones and are omitted.
     """
     (node,) = checked_nodes(typ, [node])
     comps = _components(typ, ((1 << typ.rank) - 1) ^ (1 << (node - 1)))
-    ix = node - 1
-    col = root_columns(typ)[ix]
-    max_grade = highest_root(typ)[ix]
+    col = root_columns(typ)[node - 1]
+    off_node = ~support_masks(typ)[node - 1]
 
     zero = []
-    for ci, comp in enumerate(comps):
-        adj = root_to_weight(comp.typ, highest_root(comp.typ))
-        weights = tuple(
-            adj if cj == ci else (0,) * other.typ.rank
-            for cj, other in enumerate(comps)
-        )
-        zero.append(BranchSummand(weights, dim_simple(comp.typ)))
+    for comp in comps:
+        roots = _root_bytes(typ, _u_mask(typ, comp.nodes) & off_node)
+        weights = _restricted(typ, comps, roots.rindex(1))
+        zero.append(BranchSummand(weights, comp.typ.rank + 2 * roots.count(1)))
     zero.append(BranchSummand(tuple((0,) * c.typ.rank for c in comps), 1, torus=True))
 
     grades = {0: tuple(zero)}
-    for k in range(1, max_grade + 1):
+    for k in range(1, col[-1] + 1):
         # positive_roots ascends by height, so a grade's last root is its top
         grades[k] = (BranchSummand(_restricted(typ, comps, col.rindex(k)), col.count(k)),)
-    return BranchReport(typ, node, grades, max_grade)
+    return BranchReport(typ, node, grades, col[-1])

@@ -82,6 +82,11 @@ def _u_mask(typ: SimpleType, nodes: Iterable[int]) -> int:
     return union
 
 
+def _root_bytes(typ: SimpleType, mask: int) -> bytes:
+    """A root mask as bytes, one per positive root: byte k is 1 when root k is in it."""
+    return mask.to_bytes(len(root_columns(typ)[0]), "little")
+
+
 def levi_data(typ: SimpleType, removed: Iterable[int]) -> LeviData:
     """The Levi factor and nilradical of the parabolic that removes the given nodes.
 
@@ -146,7 +151,7 @@ def closure_is_smooth(typ: SimpleType, weight: Iterable[int]) -> bool:
     d, cols, rho = symmetrizers(typ), root_columns(typ), rho_pairings(typ)
     terms = [(cols[i], c * d[i]) for i, c in enumerate(w) if c]
     union = _u_mask(typ, _support(w))
-    bound, in_u = union.bit_count() + 1, union.to_bytes(len(rho), "little")
+    bound, in_u = union.bit_count() + 1, _root_bytes(typ, union)
     num, den, k = 1, 1, -1
     while (k := in_u.find(1, k + 1)) >= 0:
         num *= rho[k] + sum(col[k] * t for col, t in terms)

@@ -7,8 +7,10 @@ up to rank 8; tables 2-5 at ``--max-rank 16``; ``cartan``, ``icartan`` and
 up to rank 12; ``dim``, ``dual`` and ``minorbit`` at every fundamental weight
 and one mixed weight of every table type up to rank 8; and ``grade`` at every
 node of those types, plain and ``--mod 3``.  Every ``--json`` transcript must
-validate against ``schema/report.json``.  Regenerate the file only for an
-intended output change, with
+validate against ``schema/report.json``.  ``node_sha256.json`` holds, per
+type, one sha256 of the ``branch``, ``grade`` and ``valpha`` ``--json``
+transcripts at every node of every table type up to rank 32 and of A-D at 64.
+Regenerate both files only for an intended output change, with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -16,15 +18,17 @@ intended output change, with
 import contextlib
 import io
 import json
+from hashlib import sha256
 from pathlib import Path
 
 import pytest
 from jsonschema import Draft202012Validator
 
-from minorb import table_types
+from minorb import SimpleType, table_types
 from minorb.cli import _COMMANDS, _build_parser, main
 
 GOLDEN = Path(__file__).with_name("golden.json")
+NODE_PINS = Path(__file__).with_name("node_sha256.json")
 SCHEMA = Path(__file__).parents[1] / "schema" / "report.json"
 
 
@@ -199,6 +203,36 @@ def test_one_parser_serves_successive_calls(golden):
         assert transcript(line + " --json") == json.dumps(doc) + "\n"
 
 
+def node_pin_types() -> list[SimpleType]:
+    return table_types(32) + [SimpleType(f, 64) for f in "ABCD"]
+
+
+def node_digest(typ: SimpleType) -> str:
+    """sha256 of the ``branch``, ``grade`` and ``valpha`` ``--json`` transcripts
+    at every node of typ, node by node, in that order."""
+    h = sha256()
+    for node in range(1, typ.rank + 1):
+        for cmd in ("branch", "grade", "valpha"):
+            h.update(transcript(f"{cmd} {typ} {node} --json").encode())
+    return h.hexdigest()
+
+
+# per type, taken while branch_adjoint built each Levi component's roots to
+# read grade zero's summands: every node of table_types(32) and of A-D at 64
+NODE_FINGERPRINTS = json.loads(NODE_PINS.read_text())
+
+
+def test_node_fingerprints_cover_the_inventory():
+    assert list(NODE_FINGERPRINTS) == [str(t) for t in node_pin_types()]
+
+
+@pytest.mark.parametrize("name", NODE_FINGERPRINTS)
+def test_node_transcripts_fingerprint(name):
+    assert node_digest(SimpleType(name[0], int(name[1:]))) == NODE_FINGERPRINTS[name]
+
+
 if __name__ == "__main__":
     golden = {line: transcript(line) for line in command_lines()}
     GOLDEN.write_text(json.dumps(golden, indent=0) + "\n")
+    pins = {str(t): node_digest(t) for t in node_pin_types()}
+    NODE_PINS.write_text(json.dumps(pins, indent=1) + "\n")

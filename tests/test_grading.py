@@ -1,5 +1,10 @@
 """Adjoint gradings, grade-one modules, and branch decompositions."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from minorb import (
@@ -21,7 +26,12 @@ from minorb import grading, rootsys
 from minorb.repdim import dim_irrep_product
 from minorb.rootsys import root_columns
 
-from util import MID_TYPES, components_by_matrix, v_alpha_by_dual_weight
+from util import (
+    MID_TYPES,
+    components_by_matrix,
+    grade_zero_by_component_roots,
+    v_alpha_by_dual_weight,
+)
 
 
 def test_grading_pinned_small():
@@ -182,7 +192,9 @@ def test_branch_top_weyl_dimension_equals_root_count(typ):
 )
 def test_branch_components_match_whole_matrices(typ, monkeypatch):
     """branch_adjoint names its Levi components from the bit mask of every
-    other node; they are the components the whole-matrix route names."""
+    other node; they are the components the whole-matrix route names.  Its
+    grade-zero summands, read off the ambient roots, are the ones built
+    from each component's own roots."""
     named = []
 
     def spy(t, mask):
@@ -194,7 +206,9 @@ def test_branch_components_match_whole_matrices(typ, monkeypatch):
         rep = branch_adjoint(typ, node)
         want = components_by_matrix(typ, [i for i in range(1, typ.rank + 1) if i != node])
         assert named.pop() == want, node
-        assert [s.dim for s in rep.grades[0]] == [dim_simple(c.typ) for c in want] + [1]
+        *adjoints, center = rep.grades[0]
+        assert [(s.weights, s.dim) for s in adjoints] == grade_zero_by_component_roots(want), node
+        assert (center.dim, center.torus) == (1, True)
 
 
 @pytest.mark.parametrize(
@@ -229,3 +243,36 @@ def test_node_out_of_range():
         for node in (0, 3):
             with pytest.raises(ValueError, match=rf"^nodes \[{node}\] out of range for A2$"):
                 fn(parse_type("A2"), node)
+
+
+class _Two:
+    def __index__(self):
+        return 2
+
+
+@pytest.mark.parametrize("fn", [grade_adjoint, lowest_weight_of_v_alpha, branch_adjoint])
+@pytest.mark.parametrize("node,want", [(True, 1), (_Two(), 2)], ids=["True", "index"])
+def test_reported_node_is_the_checked_int(fn, node, want):
+    """An int-like node is read by operator.index, and the int is reported."""
+    got = fn(parse_type("A2"), node).node
+    assert type(got) is int and got == want
+
+
+def test_branch_sweep_builds_only_the_ambient_roots():
+    """Every grade, zero included, is read off the ambient roots: branching at
+    every node of E8 and D12 builds two root systems, none for a component."""
+    code = (
+        "from minorb import branch_adjoint, parse_type, rootsys\n"
+        "for name in ('E8', 'D12'):\n"
+        "    for node in range(1, int(name[1:]) + 1):\n"
+        "        branch_adjoint(parse_type(name), node)\n"
+        "print(rootsys.positive_roots.cache_info().misses)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(grading.__file__).parents[1])},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "2\n"

@@ -16,8 +16,10 @@ from minorb import (
     dim_irrep_product,
     dim_simple,
     dual_weight,
+    highest_root,
     levi_data,
     positive_roots,
+    root_to_weight,
     subdiagram_components,
     sukhanov_refined,
     table_types,
@@ -205,6 +207,22 @@ def v_alpha_by_dual_weight(typ: SimpleType, node: int):
     highest = tuple(dual_weight(c.typ, [-x for x in w]) for c, w in zip(comps, lowest))
     dim = dim_irrep_product((c.typ, w) for c, w in zip(comps, highest))
     return lowest, highest, dim
+
+
+def grade_zero_by_component_roots(comps) -> list[tuple[tuple[tuple[int, ...], ...], int]]:
+    """Weights and dimension of each Levi component's adjoint summand, from its own roots.
+
+    The reference route for branch_adjoint's grade zero, which reads it off
+    the ambient roots.  Here each component's roots are built: its highest
+    root in its own fundamental weights, zero on every other component, and
+    dim_simple of its type.
+    """
+    out = []
+    for ci, comp in enumerate(comps):
+        adj = root_to_weight(comp.typ, highest_root(comp.typ))
+        weights = tuple(adj if cj == ci else (0,) * other.typ.rank for cj, other in enumerate(comps))
+        out.append((weights, dim_simple(comp.typ)))
+    return out
 
 
 def components_by_matrix(typ: SimpleType, kept) -> tuple[Component, ...]:
