@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .parabolic import LeviData, _root_bytes, _u_mask, levi_data, support_masks
+from .parabolic import LeviData, _u_mask, levi_data, support_masks
 from .rootsys import (
     Component,
     SimpleType,
@@ -122,9 +122,9 @@ def branch_adjoint(typ: SimpleType, node: int) -> BranchReport:
 
     zero = []
     for comp in comps:
-        roots = _root_bytes(typ, _u_mask(typ, comp.nodes) & off_node)
-        weights = _restricted(typ, comps, roots.rindex(1))
-        zero.append(BranchSummand(weights, comp.typ.rank + 2 * roots.count(1)))
+        roots = _u_mask(typ, comp.nodes) & off_node
+        weights = _restricted(typ, comps, roots.bit_length() - 1)
+        zero.append(BranchSummand(weights, comp.typ.rank + 2 * roots.bit_count()))
     zero.append(BranchSummand(tuple((0,) * c.typ.rank for c in comps), 1, torus=True))
 
     grades = {0: tuple(zero)}

@@ -4,7 +4,7 @@ A standard parabolic subalgebra is determined by the set of simple nodes
 it removes: the Levi factor is the reductive subalgebra on the kept
 nodes plus the full Cartan, and the nilradical u is spanned by the
 positive root spaces whose roots involve a removed node.  dim u is a
-popcount: each node keeps a cached mask whose byte k is 1 when positive
+popcount: each node keeps a cached mask whose bit k is 1 when positive
 root k involves the node, and dim u(S) counts the set bits of the union
 of the masks of S, so no Levi component is built.  The tests check it
 against the bookkeeping identity dim g = dim [l, l] + #removed + 2 dim u.
@@ -55,17 +55,14 @@ class LeviData(NamedTuple):
         return self.dim_levi + self.dim_u
 
 
-# byte value -> 1 if nonzero, for bytes.translate
-_NONZERO = bytes([0]) + bytes([1]) * 255
-
-
 @lru_cache(maxsize=None)
 def support_masks(typ: SimpleType) -> tuple[int, ...]:
-    """One int per node: byte k is 1 when positive root k involves that node.
+    """One int per node: bit k is 1 when positive root k involves that node.
 
-    Each mask is the node's root column with every nonzero byte set to 1,
-    read as a little-endian int."""
-    return tuple(int.from_bytes(col.translate(_NONZERO), "little") for col in root_columns(typ))
+    Each mask is the node's root column with every byte turned into an
+    ASCII 0 or 1, read in base 2 from the last root (base 2 has no digit
+    limit)."""
+    return tuple(int(col.translate(b"0" + b"1" * 255)[::-1], 2) for col in root_columns(typ))
 
 
 def dim_u(typ: SimpleType, removed: Iterable[int]) -> int:
@@ -74,17 +71,12 @@ def dim_u(typ: SimpleType, removed: Iterable[int]) -> int:
 
 
 def _u_mask(typ: SimpleType, nodes: Iterable[int]) -> int:
-    """Byte k is 1 when root k is in u of the parabolic removing nodes, already checked."""
+    """Bit k is 1 when root k is in u of the parabolic removing nodes, already checked."""
     masks = support_masks(typ)
     union = 0
     for i in nodes:
         union |= masks[i - 1]
     return union
-
-
-def _root_bytes(typ: SimpleType, mask: int) -> bytes:
-    """A root mask as bytes, one per positive root: byte k is 1 when root k is in it."""
-    return mask.to_bytes(len(root_columns(typ)[0]), "little")
 
 
 def levi_data(typ: SimpleType, removed: Iterable[int]) -> LeviData:
@@ -151,9 +143,9 @@ def closure_is_smooth(typ: SimpleType, weight: Iterable[int]) -> bool:
     d, cols, rho = symmetrizers(typ), root_columns(typ), rho_pairings(typ)
     terms = [(cols[i], c * d[i]) for i, c in enumerate(w) if c]
     union = _u_mask(typ, _support(w))
-    bound, in_u = union.bit_count() + 1, _root_bytes(typ, union)
+    bound, in_u = union.bit_count() + 1, format(union, "b")[::-1]
     num, den, k = 1, 1, -1
-    while (k := in_u.find(1, k + 1)) >= 0:
+    while (k := in_u.find("1", k + 1)) >= 0:
         num *= rho[k] + sum(col[k] * t for col, t in terms)
         den *= rho[k]
         if num > bound * den:

@@ -22,9 +22,11 @@ from minorb import (
     orbit_type,
     parabolic_of_weight,
     parse_type,
+    positive_roots,
     SimpleType,
     table_types,
 )
+from minorb.parabolic import support_masks
 
 from util import (
     ALL_TYPES,
@@ -114,6 +116,20 @@ def test_bitset_dim_u_matches_direct_count_at_high_rank(typ):
         expected = direct_dim_u(typ, removed)
         assert dim_u(typ, removed) == expected
         assert levi_data(typ, removed).dim_u == expected
+
+
+@pytest.mark.parametrize(
+    "typ",
+    table_types(12) + [SimpleType(f, MAX_RANK) for f in "ABCD"] + [SimpleType("D", 70)],
+    ids=str,
+)
+def test_support_mask_bit_k_is_root_k_involving_the_node(typ):
+    """One bit per root, root k at bit k; D70's 4,830 roots pass the int/str digit limit."""
+    roots = positive_roots(typ)
+    for i, mask in enumerate(support_masks(typ)):
+        assert mask >> len(roots) == 0, i + 1
+        for k, root in enumerate(roots):
+            assert (mask >> k) & 1 == (root[i] != 0), (i + 1, k)
 
 
 def test_empty_and_full_removal():
@@ -220,7 +236,8 @@ def test_closure_smoothness(name, weight, expected):
     assert closure_is_smooth(parse_type(name), weight) is expected
 
 
-SMOOTHNESS_TYPES = table_types(24) + [SimpleType(f, MAX_RANK) for f in "ABCD"]
+# D70's masks have 4,830 bits, above the default int/str digit limit
+SMOOTHNESS_TYPES = table_types(24) + [SimpleType(f, MAX_RANK) for f in "ABCD"] + [SimpleType("D", 70)]
 
 
 def smooth_by_weyl(typ, weight):
