@@ -9,11 +9,12 @@ products.
 
 Neither product loops over coordinates.  ``root_ancestry`` writes every
 positive root as a lower root plus one simple root alpha_i, so a root's
-pairing with lambda + rho is its parent's plus (w_i + 1) * d_i: one
-addition per root.  The pairings are counted by value, the cached
-counts of the rho pairings (the denominator, independent of the weight)
-are subtracted, and only the surviving powers are multiplied.  The final
-division is checked to be exact.
+pairing with lambda + rho is its parent's plus (w_i + 1) * d_i.  The
+walk starts from the simple roots, which come first in root order, and
+appends one sum per later root.  The pairings are counted by value, the
+cached counts of the rho pairings (the denominator, independent of the
+weight) are subtracted, and only the surviving powers are multiplied.
+The final division is checked to be exact.
 """
 
 from __future__ import annotations
@@ -45,10 +46,11 @@ def dim_irrep(typ: SimpleType, weight: Iterable[int]) -> int:
 def _root_values(typ: SimpleType, simple: Sequence[int]) -> list[int]:
     """A linear form on every positive root, from its values on the simple roots."""
     parent, node = root_ancestry(typ)
-    val = [0] * (len(parent) + 1)  # the last slot stays 0: val[-1] for simple roots
-    for k, (p, i) in enumerate(zip(parent, node)):
-        val[k] = val[p] + simple[i]
-    val.pop()
+    n = typ.rank  # the first n roots are the simple ones, the only ones without parent
+    val = [simple[i] for i in node[:n]]
+    append = val.append
+    for p, i in zip(parent[n:], node[n:]):
+        append(val[p] + simple[i])
     return val
 
 

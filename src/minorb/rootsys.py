@@ -221,8 +221,9 @@ def root_ancestry(typ: SimpleType) -> tuple[array, array]:
     node i such that beta - alpha_i is a positive root or zero, and
     ``parent[k]`` is the index of that root, or -1 when beta is alpha_i
     itself.  Both come from the pass that builds the roots.  Roots come by
-    height, so every parent precedes its child, and any linear form on
-    roots follows from its values on the simple roots in one pass.
+    height, so the first ``typ.rank`` roots are the simple roots, the only
+    ones with parent -1, and every parent precedes its child: any linear
+    form on roots follows from its values on the simple roots in one pass.
     """
     return _root_pass(typ)[1:]
 

@@ -1,5 +1,6 @@
 """Command line behavior: golden outputs, JSON envelopes, exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 
 from minorb import MAX_RANK, MAX_WEIGHT_ENTRY, dim_irrep, parse_type
 from minorb.rootsys import MAX_QUOTED
-from minorb.cli import _COMMANDS, main
+from minorb.cli import _COMMANDS, _build_parser, main
 
 
 def run(capsys, *argv):
@@ -420,6 +421,22 @@ def test_help_text(capsys, monkeypatch, command):
         main(["--help"] if command == "minorb" else [command, "--help"])
     assert stop.value.code == 0
     assert capsys.readouterr() == (HELP[command], "")
+
+
+def test_a_command_builds_only_its_own_subparser(capsys, monkeypatch):
+    """A run naming a command builds the top-level parser and that one
+    command's subparser, not every command's."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    _build_parser.cache_clear()
+    assert run(capsys, "dim", "A1", "1") == (0, "2\n", "")
+    assert built == ["minorb", "minorb dim"]
 
 
 def test_import_leaves_dataclasses_and_inspect_unloaded():

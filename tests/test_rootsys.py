@@ -270,6 +270,7 @@ def test_root_ancestry_steps_down_one_simple_root(typ):
     roots = positive_roots(typ)
     parent, node = root_ancestry(typ)
     assert len(parent) == len(node) == len(roots)
+    assert set(parent[: typ.rank]) == {-1} and -1 not in parent[typ.rank :]
     zero = (0,) * typ.rank
     for k, (p, i) in enumerate(zip(parent, node)):
         assert -1 <= p < k
