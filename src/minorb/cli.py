@@ -60,13 +60,15 @@ def _typ(text: str) -> SimpleType:
 
 
 def _ints(text: str, what: str, ceiling: int) -> tuple[int, ...]:
-    """Comma-separated integers, each at most ceiling in absolute value."""
+    """Comma-separated integers in ASCII digits, each at most ceiling in absolute value."""
 
     def entry(part: str) -> int:
-        # int() is quadratic in the digits with the int-str limit lifted, so
-        # an entry with more digits than the ceiling is not read: it is past it.
-        m = re.fullmatch(r"\s*[+-]?(\d+(?:_\d+)*)\s*", part)
-        if m and len(m[1].replace("_", "").lstrip("0")) > len(str(ceiling)):
+        # int() reads only ASCII digits here (it takes any Unicode digit), and no
+        # more than the ceiling has: with the int-str limit lifted it is quadratic.
+        m = re.fullmatch(r"\s*[+-]?([0-9]+(?:_[0-9]+)*)\s*", part)
+        if m is None:
+            raise ValueError(part)
+        if len(m[1].replace("_", "").lstrip("0")) > len(str(ceiling)):
             return ceiling + 1
         return int(part)
 

@@ -328,15 +328,14 @@ class Component(NamedTuple):
     """A connected piece of an induced Dynkin subdiagram.
 
     ``nodes[k]`` is the original node sitting at Bourbaki position ``k + 1``
-    of ``typ``.  Among all structure-preserving identifications the one with
-    the lexicographically largest ``nodes`` tuple is chosen, so relabelings
-    are deterministic even when the component has diagram symmetries.  The
-    candidates are walks read from the diagram's ends (both directions of a
-    chain, every ordering of a fork's arms); each identification is one of
-    them, because a diagram automorphism can only permute ends and arms.  A
-    walk fits a type when it carries the type's k - 1 bonds onto bonds with
-    the same Cartan entries: the component is a tree with k - 1 bonds, so
-    every other entry is zero on both sides.
+    of ``typ``.  The candidates are walks read from the diagram's ends (both
+    directions of a chain, every ordering of a fork's arms, and E's one
+    reordering): a diagram automorphism can only permute ends and arms.  A
+    walk relabels the component's bonds, its m-th node becoming position m,
+    and ``typ`` is the first family in ABCDEFG whose own bonds at that rank
+    equal some walk's, so C2 and D3 shapes come back as B2 and A3.  Of the
+    walks giving those bonds, the lexicographically largest ``nodes`` is
+    chosen, so labelings are deterministic under diagram symmetries.
     """
 
     typ: SimpleType
@@ -408,28 +407,21 @@ def _bonds(typ: SimpleType) -> tuple[tuple[int, int, int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _shapes(k: int, fork: bool) -> tuple[SimpleType, ...]:
-    """The canonical types of rank k whose diagram is a fork, or a chain."""
-    families = "DE" if fork else "ABCFG"
-    return tuple(dict.fromkeys(canonicalize(SimpleType(f, k)) for f in families if _is_type(f, k)))
-
-
-@lru_cache(maxsize=None)
 def _identify(k: int, bonds: tuple[tuple[int, int, int, int], ...]) -> tuple[SimpleType, Vector]:
     """Name a component shape and pick its largest Bourbaki labeling, as positions.
 
     The shape is k positions and its bonds (i, j, C[i][j], C[j][i]), i < j,
-    so no node number enters the cache key.  Each candidate walk is checked
-    on the k - 1 bonds of each type of its size and shape.  Positions rise
-    with node numbers, so the largest walk over positions is the largest
+    so no node number enters the cache key.  Each walk w relabels the bonds
+    (position w[m] becomes index m, lower index first, sorted), and walks are
+    grouped by the result.  The first family valid at rank k whose _bonds key
+    a group names the shape; that group's largest walk labels it.  Positions
+    rise with node numbers, so the largest walk over positions is the largest
     over nodes.
     """
     adj: list[list[int]] = [[] for _ in range(k)]
-    entries: dict[tuple[int, int], int] = {}
-    for p, q, apq, aqp in bonds:
+    for p, q, _, _ in bonds:
         adj[p].append(q)
         adj[q].append(p)
-        entries[p, q], entries[q, p] = apq, aqp
     center = next((u for u in range(k) if len(adj[u]) == 3), None)
     if center is None:
         line = _arm(next(u for u in range(k) if len(adj[u]) <= 1), None, adj)
@@ -440,13 +432,16 @@ def _identify(k: int, bonds: tuple[tuple[int, int, int, int], ...]) -> tuple[Sim
             walks.append(x[::-1] + [center] + y + z)
             if len(x) == 2 and len(y) == 1:
                 walks.append([x[1], y[0], x[0], center] + z)
-    for ctyp in _shapes(k, center is not None):
-        fits = [w for w in walks if all(
-            entries.get((w[p], w[q])) == x and entries.get((w[q], w[p])) == y
-            for p, q, x, y in _bonds(ctyp)
-        )]
-        if fits:
-            return ctyp, tuple(max(fits))
+    groups: dict[tuple[tuple[int, int, int, int], ...], list[list[int]]] = {}
+    for w in walks:
+        at = {u: m for m, u in enumerate(w)}
+        relabelled = sorted(
+            (at[p], at[q], x, y) if at[p] < at[q] else (at[q], at[p], y, x) for p, q, x, y in bonds
+        )
+        groups.setdefault(tuple(relabelled), []).append(w)
+    for family in "ABCDEFG":
+        if _is_type(family, k) and (fits := groups.get(_bonds(SimpleType(family, k)))):
+            return SimpleType(family, k), tuple(max(fits))
     raise RuntimeError("not a Dynkin diagram component")
 
 

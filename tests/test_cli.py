@@ -326,6 +326,27 @@ def test_node_entry_ceiling(capsys):
     )
 
 
+def test_integers_are_read_in_ascii_digits_only(capsys):
+    """Every integer the command line reads is written in ASCII digits, as
+    type ranks are: int() alone would take an Arabic-Indic or a fullwidth
+    digit.  Unicode whitespace around an entry is still skipped."""
+    one, two, zeros = "\u0661", "\uff12", "\u0660" * 10  # Arabic-Indic 1, fullwidth 2
+    unparsable = "; expected comma-separated integers"
+    for argv, message in (
+        (["dim", "A1", one], f"cannot parse weight '{one}'{unparsable}"),
+        (["dim", "A1", zeros + one], f"cannot parse weight '{zeros + one}'{unparsable}"),
+        (["dim", "A2", f"1,{one}"], f"cannot parse weight '1,{one}'{unparsable}"),
+        (["levi", "A3", one], f"cannot parse node set '{one}'{unparsable}"),
+        (["grade", "A2", "1", "--mod", two],
+         f"--mod must be between -{MAX_WEIGHT_ENTRY} and {MAX_WEIGHT_ENTRY}"),
+        (["table", two], "table number must be between 2 and 5"),
+        (["table", "2", "--max-rank", two], "--max-rank must be between 1 and 32"),
+        (["cartan", f"A{one}"], f"cannot parse simple type 'A{one}'"),
+    ):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n"), argv
+    assert run(capsys, "dim", "A1", "\u3000+1_0 ") == (0, "11\n", "")
+
+
 def test_unparsable_input_is_quoted_short(capsys):
     """A huge argument that cannot be parsed is quoted by its first MAX_QUOTED
     characters and an ellipsis; shorter ones are quoted whole."""

@@ -10,7 +10,11 @@ node of those types, plain and ``--mod 3``.  Every ``--json`` transcript must
 validate against ``schema/report.json``.  ``node_sha256.json`` holds, per
 type, one sha256 of the ``branch``, ``grade`` and ``valpha`` ``--json``
 transcripts at every node of every table type up to rank 32 and of A-D at 64.
-Regenerate both files only for an intended output change, with
+``rank_sha256.json`` holds one sha256 per ``--json`` transcript at ranks up to
+the CLI's ceilings, each checked against the schema too: tables 2-5 at
+``--max-rank 32``, ``invariants`` of A-D at ranks 40, 56 and 64, and ``levi``
+on D64 at five node sets.  Regenerate the three files only for an intended
+output change, with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -29,6 +33,7 @@ from minorb.cli import _COMMANDS, _build_parser, main
 
 GOLDEN = Path(__file__).with_name("golden.json")
 NODE_PINS = Path(__file__).with_name("node_sha256.json")
+RANK_PINS = Path(__file__).with_name("rank_sha256.json")
 SCHEMA = Path(__file__).parents[1] / "schema" / "report.json"
 
 
@@ -234,8 +239,39 @@ def test_node_transcripts_fingerprint(name):
     assert node_digest(SimpleType(name[0], int(name[1:]))) == NODE_FINGERPRINTS[name]
 
 
+def rank_pin_lines() -> list[str]:
+    """The ``--json`` command lines pinned up to the rank ceilings: every table,
+    invariants at three large ranks, and Levi components of D64 whose naming
+    needs a fork's arms ordered (node 1), a chain's direction (62 and 63,64),
+    mixed pieces (1,17,33,64) or many isolated nodes (every even node)."""
+    lines = [f"table {n} --max-rank 32 --json" for n in (2, 3, 4, 5)]
+    lines += [f"invariants {f}{n} --json" for f in "ABCD" for n in (40, 56, 64)]
+    evens = ",".join(str(u) for u in range(2, 65, 2))
+    lines += [f"levi D64 {nodes} --json" for nodes in ("1", "62", "63,64", "1,17,33,64", evens)]
+    return lines
+
+
+# taken before _identify compared each walk's relabelled bonds with each
+# family's own, while it still kept a separate fork/chain split of the families
+RANK_FINGERPRINTS = json.loads(RANK_PINS.read_text())
+
+
+def test_rank_fingerprints_cover_their_lines():
+    assert list(RANK_FINGERPRINTS) == rank_pin_lines()
+
+
+@pytest.mark.parametrize("line", RANK_FINGERPRINTS)
+def test_rank_transcript_fingerprint(line):
+    out = transcript(line)
+    assert sha256(out.encode()).hexdigest() == RANK_FINGERPRINTS[line]
+    validator = Draft202012Validator(json.loads(SCHEMA.read_text()))
+    assert [err.message for err in validator.iter_errors(json.loads(out))] == []
+
+
 if __name__ == "__main__":
     golden = {line: transcript(line) for line in command_lines()}
     GOLDEN.write_text(json.dumps(golden, indent=0) + "\n")
     pins = {str(t): node_digest(t) for t in node_pin_types()}
     NODE_PINS.write_text(json.dumps(pins, indent=1) + "\n")
+    pins = {line: sha256(transcript(line).encode()).hexdigest() for line in rank_pin_lines()}
+    RANK_PINS.write_text(json.dumps(pins, indent=1) + "\n")
