@@ -190,9 +190,7 @@ def _cmd_grade(typ, args):
     rep = grade_adjoint(typ, node)
     key, value, dims = "max_grade", rep.max_grade, rep.dims
     if args.mod is not None:
-        mod = _int(args.mod, "--mod", -MAX_WEIGHT_ENTRY, MAX_WEIGHT_ENTRY)
-        if mod < 1:
-            raise ValueError("--mod must be a positive integer")
+        mod = _int(args.mod, "--mod", 1, MAX_WEIGHT_ENTRY)
         folded = Counter()
         for g, d in rep.dims.items():
             folded[g % mod] += d
@@ -414,7 +412,7 @@ class _Parser(argparse.ArgumentParser):
             raise argparse.ArgumentError(action, message)
 
     def _parse_optional(self, arg_string):  # -hX: 3.13 would take -h and print the help
-        if re.fullmatch(r"-\d[\d,-]*", arg_string):  # a list such as -1,2 is an argument
+        if re.match(r"-\d", arg_string):  # a list such as -1,2 or -0_1 is an argument
             return None
         if re.match(r"-h+[^-=h]", arg_string):  # -X is no option: refuse X as 3.10-3.12 do
             message = f"ignored explicit argument {clipped(arg_string[2:].lstrip('h'))!r}"

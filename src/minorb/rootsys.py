@@ -9,7 +9,11 @@ of Dynkin subdiagrams.  Conventions fixed once, for every other module:
   ``alpha_i+1`` in the basis of fundamental weights.
 * Roots and weights are plain integer tuples; a root is written in the
   simple-root basis, a weight in the fundamental-weight basis.
-* Positive roots are listed by height and then lexicographically.
+* Positive roots are listed by height and then lexicographically.  A-D
+  write theirs down from the closed forms of Bourbaki's Plates I-IV; E, F
+  and G, whose root lists have no short closed form, derive theirs from the
+  Cartan matrix height by height.  The tests hold the two builders to the
+  same output on A-D.
 * Each family's diagram is written once, as its edges and the root length
   ``d_i`` of each node: the symmetrizers, minimal positive integers making
   ``cartan * diag(d)`` symmetric.  A bond p - q has Cartan entries
@@ -153,18 +157,35 @@ def symmetrizers(typ: SimpleType) -> Vector:
 
 @lru_cache(maxsize=None)
 def _root_pass(typ: SimpleType) -> tuple[tuple[Vector, ...], array, array]:
-    """The positive roots with their ancestry arrays, from one pass.
+    """The positive roots with their ancestry arrays, from one builder.
+
+    A root is one int, a byte per node with node 1 most significant, so
+    beta + alpha_i is one addition and integer order is lexicographic
+    order.  A byte is ample: no coefficient exceeds 6 (E8's highest root).
+    The builder is chosen by family, because a closed form for the roots
+    belongs to a family: A-D have one each, valid at every rank, and their
+    root counts grow with the rank, so _classical_pass writes them down.
+    E, F and G are five fixed types with at most 120 positive roots, which
+    _height_pass derives from the Cartan matrix.  Both builders give the
+    roots by height and then by code, with the same ancestry; the tests
+    run _height_pass on A-D too and check that the two agree.
+    """
+    build = _classical_pass if typ.family in _RANK_MIN else _height_pass
+    codes, parent, node = build(typ)
+    n = typ.rank
+    return tuple(tuple(code.to_bytes(n, "big")) for code in codes), parent, node
+
+
+def _height_pass(typ: SimpleType) -> tuple[list[int], array, array]:
+    """Root codes by height, with parent and node arrays, from the Cartan matrix.
 
     The pass goes height by height and probes no root string.  beta + alpha_i
     is a root iff p_i > <beta, coroot_i>, where p_i counts how often alpha_i
     can be subtracted from beta, and p_i(beta + alpha_i) = p_i(beta) + 1.
     Each root carries its depths p_i and coroot pairings packed a byte per
-    node, so one subtraction marks all its up nodes.
+    node, as its code is, so one subtraction marks all its up nodes.
     """
     n = typ.rank
-    # A root is one int, a byte per node with node 1 most significant, so
-    # beta + alpha_i is one addition and integer order is lexicographic
-    # order.  A byte is ample: no coefficient exceeds 6 (E8's highest root).
     shift = [8 * (n - 1 - i) for i in range(n)]
     unit = [1 << s for s in shift]
     ones = sum(unit)
@@ -205,7 +226,51 @@ def _root_pass(typ: SimpleType) -> tuple[tuple[Vector, ...], array, array]:
                 else:
                     child[1] += depth
         layer = nxt
-    return tuple(tuple(code.to_bytes(n, "big")) for code in codes), parent, node
+    return codes, parent, node
+
+
+def _classical_pass(typ: SimpleType) -> tuple[list[int], array, array]:
+    """Root codes of A-D by height, with parent and node arrays, in closed form.
+
+    With suf[i] the code of alpha_(i+1) + ... + alpha_n (0-based node i on;
+    suf[n] = 0), of height n - i, the positive roots are the epsilon_i -+
+    epsilon_j of Bourbaki's Plates I-IV (Lie Groups and Lie Algebras,
+    Ch. VI): the segments suf[i] - suf[j], i < j <= n (j <= n - 1 for D),
+    and for B, C, D the sums suf[i] + suf[j] - suf[m], with m = n, n - 1,
+    n - 2 and j from i + 1, i, i + 1 up to n - 1, n - 2, n - 1.  Codes
+    are bucketed by height and sorted within each bucket.  A root's node
+    is the first node k, from its lowest support node on, with code -
+    unit_k a root: subtracting at a zero byte borrows into a 255 byte,
+    which no root has.
+    """
+    n, family = typ.rank, typ.family
+    unit = [1 << 8 * (n - 1 - i) for i in range(n)]
+    suf = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suf[i] = suf[i + 1] + unit[i]
+    buckets: list[list[int]] = [[] for _ in range(2 * n)]
+    last = n - 1 if family == "D" else n
+    for i in range(n):
+        for j in range(i + 1, last + 1):
+            buckets[j - i].append(suf[i] - suf[j])
+    if family != "A":
+        first, last, m = {
+            "B": (1, n - 1, n), "C": (0, n - 2, n - 1), "D": (1, n - 1, n - 2)
+        }[family]
+        for i in range(n):
+            base, height = suf[i] - suf[m], n + m - i
+            for j in range(i + first, last + 1):
+                buckets[height - j].append(base + suf[j])
+    codes = [code for bucket in buckets for code in sorted(bucket)]
+    index = {code: k for k, code in enumerate(codes)}
+    parent, node = [-1] * n, list(range(n - 1, -1, -1))  # alpha_n, ..., alpha_1
+    for code in codes[n:]:
+        k = n - 1 - ((code.bit_length() - 1) >> 3)  # its lowest support node
+        while (p := index.get(code - unit[k])) is None:
+            k += 1
+        parent.append(p)
+        node.append(k)
+    return codes, array("i", parent), array("i", node)
 
 
 @lru_cache(maxsize=None)  # bench/spans.py counts root builds at its cache misses
@@ -220,7 +285,7 @@ def root_ancestry(typ: SimpleType) -> tuple[array, array]:
     For ``beta = positive_roots(typ)[k]``, ``node[k]`` is the lowest 0-based
     node i such that beta - alpha_i is a positive root or zero, and
     ``parent[k]`` is the index of that root, or -1 when beta is alpha_i
-    itself.  Both come from the pass that builds the roots.  Roots come by
+    itself.  Both come from the builder of the roots.  Roots come by
     height, so the first ``typ.rank`` roots are the simple roots, the only
     ones with parent -1, and every parent precedes its child: any linear
     form on roots follows from its values on the simple roots in one pass.

@@ -1,15 +1,18 @@
 """Command line behavior: golden outputs, JSON envelopes, exit codes."""
 
 import argparse
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from minorb import MAX_RANK, MAX_WEIGHT_ENTRY, dim_irrep, parse_type
 from minorb.rootsys import MAX_QUOTED
@@ -267,16 +270,14 @@ def test_weight_entry_ceiling(capsys):
         f"{MAX_WEIGHT_ENTRY + 1}\n",
         "",
     )
-    # --mod has the same ceiling, and below 1 its own message
-    bound = f"error: --mod must be between -{MAX_WEIGHT_ENTRY} and {MAX_WEIGHT_ENTRY}\n"
+    # --mod has the same ceiling, and one message for every value out of range
+    bound = f"error: --mod must be between 1 and {MAX_WEIGHT_ENTRY}\n"
     start = time.perf_counter()
     assert run(capsys, "grade", "A2", "1", "--mod", "9" * 5000) == (2, "", bound)
     assert time.perf_counter() - start < 0.05 and len(bound) < 200
-    assert run(capsys, "grade", "A2", "1", "--mod", "0") == (
-        2,
-        "",
-        "error: --mod must be a positive integer\n",
-    )
+    for mod in ("0", "-1", "-" + "9" * 30, "\u0661"):
+        assert run(capsys, "grade", "A2", "1", "--mod", mod) == (2, "", bound), mod
+    assert run(capsys, "grade", "A2", "1", "--mod", str(MAX_WEIGHT_ENTRY))[0] == 0
     huge = "1" + "0" * 299
     message = (
         f"error: weight entries must be at most {MAX_WEIGHT_ENTRY} in absolute value\n"
@@ -338,7 +339,7 @@ def test_integers_are_read_in_ascii_digits_only(capsys):
         (["dim", "A2", f"1,{one}"], f"cannot parse weight '1,{one}'{unparsable}"),
         (["levi", "A3", one], f"cannot parse node set '{one}'{unparsable}"),
         (["grade", "A2", "1", "--mod", two],
-         f"--mod must be between -{MAX_WEIGHT_ENTRY} and {MAX_WEIGHT_ENTRY}"),
+         f"--mod must be between 1 and {MAX_WEIGHT_ENTRY}"),
         (["table", two], "table number must be between 2 and 5"),
         (["table", "2", "--max-rank", two], "--max-rank must be between 1 and 32"),
         (["cartan", f"A{one}"], f"cannot parse simple type 'A{one}'"),
@@ -418,11 +419,16 @@ def test_argparse_errors_of_normal_size_stay_whole(capsys):
         (("minorbit", "A2", "-1,2"), "weight (-1, 2) is not dominant"),
         (("levi", "A2", "-1,2"), "nodes [-1, 2] out of range for A2"),
         (("grade", "A2", "-1"), "nodes [-1] out of range for A2"),
+        (("grade", "A2", "-0_1"), "nodes [-1] out of range for A2"),
+        (("dim", "B2", "-1,\u3000-1"), "weight (-1, -1) is not dominant"),
+        (("dim", "A1", "-1x"), "cannot parse weight '-1x'; expected comma-separated integers"),
     ],
 )
 def test_lists_starting_with_a_minus_reach_the_library_checks(capsys, argv, message):
     """A list such as -1,2 is the argument, not an unknown option, so the
-    library's own check refuses it rather than argparse's missing argument."""
+    library's own check refuses it rather than argparse's missing argument:
+    so is any argument that starts with a minus and a digit, underscores and
+    Unicode whitespace included, as no option starts so."""
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
@@ -481,3 +487,136 @@ def test_module_entry_point():
         text=True,
     )
     assert proc.returncode == 0 and proc.stdout == "2\n"
+
+
+# -- a grammar fuzz of main -------------------------------------------------
+
+# spellings that print the help, and -h forms that must be refused instead
+HELP_FORMS = ("-h", "-hh", "--help", "--he")
+NOT_HELP_FORMS = ("-hx", "-hhz", "-h=1", "-h-", "-hz' z' ")
+# decimal digits that int() reads but the command line refuses:
+# Arabic-Indic 1, fullwidth 2, Devanagari 3
+FOREIGN_DIGITS = "١２३"
+# entries no integer grammar accepts, or only at the edge of it
+ODD_ENTRIES = (
+    "", " ", "+", "-", "_", "_1", "1_", "1__0", "+-1", "0x1", "x", "9" * 30, "-" + "9" * 30
+)
+# family -> (lowest rank, highest rank) that parse_type accepts
+RANKS = {"A": (1, MAX_RANK), "B": (2, MAX_RANK), "C": (2, MAX_RANK), "D": (3, MAX_RANK),
+         "E": (6, 8), "F": (4, 4), "G": (2, 2)}
+
+
+def one_in(k: int):
+    """True about once in k draws."""
+    return st.sampled_from(range(k)).map(lambda x: x == 0)
+
+
+@st.composite
+def entry(draw, values):
+    """One integer entry: a value written with a sign, leading zeros, an
+    underscore, surrounding whitespace or a foreign digit; or an odd entry."""
+    if draw(one_in(8)):
+        return draw(st.sampled_from(ODD_ENTRIES))
+    value = draw(values)
+    digits = draw(st.sampled_from(("", "", "", "0", "0" * 30))) + str(abs(value))
+    if len(digits) > 1 and draw(one_in(4)):
+        digits = digits[0] + "_" + digits[1:]
+    if draw(one_in(8)):
+        k = draw(st.integers(0, len(digits) - 1))
+        digits = digits[:k] + draw(st.sampled_from(FOREIGN_DIGITS)) + digits[k + 1 :]
+    sign = "-" if value < 0 else draw(st.sampled_from(("", "", "", "+")))
+    space = draw(st.sampled_from(("", "", "", " ", "\u3000")))
+    return space + sign + digits + space
+
+
+@st.composite
+def entry_list(draw, plain, odd, length):
+    """length entries of plain values, up to two of them redrawn by entry(odd)."""
+    parts = [str(draw(plain)) for _ in range(length)]
+    for _ in range(draw(st.integers(0, 2)) if parts else 0):
+        parts[draw(st.integers(0, length - 1))] = draw(entry(odd))
+    return ",".join(parts)
+
+
+def takes_as_argument(arg: str) -> bool:
+    """Whether argparse reads arg as an argument, never as an option: a list
+    such as -1,2 is an argument too."""
+    return arg[:1] != "-" or arg == "-" or " " in arg or arg[1:2].isdigit()
+
+
+@st.composite
+def command_line(draw):
+    """(argv, whether it holds every positional of a known command, each one
+    that argparse reads as an argument)."""
+    command = draw(st.sampled_from([*_COMMANDS, "nosuch", ""]))
+    family = draw(st.sampled_from("ABCDEFGac"))
+    low, high = RANKS[family.upper()]
+    rank = draw(st.sampled_from((low - 1, low, low, low + 1, high, high + 1)))
+    digits = draw(st.sampled_from(("", "", "", "0", "0" * 30))) + str(rank)
+    if draw(one_in(8)):
+        digits = draw(st.sampled_from(FOREIGN_DIGITS)) + digits[1:]
+    typ = draw(st.sampled_from(("", "", "", " "))) + family + digits
+    node = entry(st.integers(-1, rank + 1))
+    odd_node = st.sampled_from((-1, 0, rank + 1, MAX_RANK, MAX_RANK + 1))
+    plain_node = st.integers(1, max(rank, 1))
+    nodes = st.integers(0, 3).flatmap(lambda k: entry_list(plain_node, odd_node, k))
+    odd_weight = st.sampled_from((-1, 0, 5, MAX_WEIGHT_ENTRY, MAX_WEIGHT_ENTRY + 1))
+    length = st.sampled_from((rank, rank, rank, rank - 1, rank + 1)).filter(lambda k: k >= 0)
+    weight = length.flatmap(lambda k: entry_list(st.integers(0, 3), odd_weight, k))
+    positionals = {
+        "dim": [weight], "dual": [weight], "minorbit": [weight], "levi": [nodes],
+        "grade": [node], "branch": [node], "valpha": [node], "table": [entry(st.integers(1, 6))],
+    }.get(command, [])
+    args = ([] if command == "table" else [typ]) + [draw(p) for p in positionals]
+    complete = command in _COMMANDS and not draw(one_in(8))
+    if not complete and args:
+        del args[draw(st.integers(0, len(args) - 1))]
+    argv = [command, *args]
+    options = []
+    if draw(st.booleans()):
+        options.append(["--json"])
+    if command == "grade" and draw(st.booleans()):
+        mod = st.sampled_from((-1, 0, 1, 2, 3, MAX_WEIGHT_ENTRY, MAX_WEIGHT_ENTRY + 1))
+        options.append(["--mod", draw(entry(mod))])
+    if command == "table" and draw(st.booleans()):
+        options.append(["--max-rank", draw(entry(st.sampled_from((0, 1, 2, 32, 33))))])
+    if draw(one_in(6)):
+        options.append([draw(st.sampled_from(HELP_FORMS + NOT_HELP_FORMS))])
+    if draw(one_in(6)):
+        options.append(["--"])
+    for option in options:  # mostly after the command
+        at = 0 if draw(one_in(12)) else draw(st.integers(1, len(argv)))
+        argv[at:at] = option
+    return argv, complete and all(map(takes_as_argument, args))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@seed(26)
+@given(command_line())
+def test_every_command_line_returns_0_or_2(drawn):
+    """Every argv that the grammar draws returns 0, or exits 0 on help, or
+    returns 2 with one error line of bounded length after any notes, within
+    seconds.  Help needs a help spelling, an integer in foreign digits is
+    refused, and an argv holding every positional as an argument is never
+    refused for a missing one."""
+    argv, complete = drawn
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as stop:
+            assert stop.code == 0 and any(a in HELP_FORMS for a in argv), argv
+            return
+    assert time.perf_counter() - start < 5, argv
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert out.getvalue() and all(line.startswith("note: ") for line in lines), argv
+        assert not any(c in FOREIGN_DIGITS for a in argv for c in a), argv
+        return
+    assert code == 2 and out.getvalue() == "" and lines, argv
+    *notes, last = lines
+    assert all(line.startswith("note: ") for line in notes), argv
+    assert last.startswith("error: ") and len(last.encode()) < 1000, argv
+    if complete:
+        assert "arguments are required" not in last, argv

@@ -316,6 +316,18 @@ def test_root_ancestry_takes_the_lowest_down_node(typ):
         assert (node[k], parent[k]) == (i, index[below])
 
 
+@pytest.mark.parametrize(
+    "typ",
+    [t for t in table_types(24) if t.family in "ABCD"]
+    + [SimpleType(f, n) for n in (40, 56, 64) for f in "ABCD"],
+    ids=str,
+)
+def test_height_pass_agrees_with_the_closed_forms(typ):
+    """_root_pass serves A-D from their closed forms, so the height pass that
+    serves E, F and G is held to the same codes, parents and nodes here."""
+    assert rootsys._height_pass(typ) == rootsys._classical_pass(typ)
+
+
 # sha256 of repr(positive_roots(t)), taken from the string-probing builder
 # that the packed one replaced: the order and every tuple are pinned.
 FINGERPRINTS = json.loads((Path(__file__).parent / "roots_sha256.json").read_text())
