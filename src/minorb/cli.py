@@ -399,17 +399,43 @@ _COMMANDS = {
 }
 
 
+def _invalid_choice(value: str, choices) -> str:
+    """argparse's invalid-choice message in its 3.10-3.12 words: 3.13.13 lists
+    the choices unquoted."""
+    return f"invalid choice: {value!r} (choose from {', '.join(map(repr, choices))})"
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse that raises its errors as ValueError for main; two keep their 3.10-3.12 words."""
+    """argparse that raises its errors as ValueError for main; two keep their 3.10-3.12 words,
+    and an unknown option is named before a missing argument."""
 
     def error(self, message):
         raise ValueError(message)
 
-    def _check_value(self, action, value):  # 3.13.13 lists the choices unquoted
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse reports missing arguments before unknown options, so `dim A2
+        # -x` would say that weight is required: when the same parse with
+        # nothing required goes through and leaves arguments over, name those.
+        try:
+            return super().parse_known_args(args, namespace)
+        except ValueError as err:
+            required = [action for action in self._actions if action.required]
+            for action in required:
+                action.required = False
+            try:
+                extras = super().parse_known_args(args, namespace)[1]
+            except ValueError:
+                extras = []
+            finally:
+                for action in required:
+                    action.required = True
+            if extras:
+                raise ValueError(f"unrecognized arguments: {' '.join(extras)}") from None
+            raise err
+
+    def _check_value(self, action, value):
         if action.choices is not None and value not in action.choices:
-            choices = ", ".join(map(repr, action.choices))
-            message = f"invalid choice: {value!r} (choose from {choices})"
-            raise argparse.ArgumentError(action, message)
+            raise argparse.ArgumentError(action, _invalid_choice(value, action.choices))
 
     def _parse_optional(self, arg_string):  # -hX: 3.13 would take -h and print the help
         if re.match(r"-\d", arg_string):  # a list such as -1,2 or -0_1 is an argument
@@ -459,9 +485,16 @@ def _build_parser(names: tuple[str, ...]) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
+    # A leading -- ends the options, so the command follows it even where it
+    # starts with a minus; argparse 3.10-3.13 would take the -- for the command.
+    ended = argv[:1] == ["--"]
+    if ended:
+        argv = argv[1:]
     names = (argv[0],) if argv and argv[0] in _COMMANDS else tuple(_COMMANDS)
     with _all_digits():
         try:
+            if ended and argv[:1] and argv[0][:1] == "-":
+                raise ValueError(f"argument command: {_invalid_choice(argv[0], _COMMANDS)}")
             args = _build_parser(names).parse_args(argv)
             typ = None if args.command == "table" else _typ(args.type)
             payload, text = _COMMANDS[args.command][0](typ, args)

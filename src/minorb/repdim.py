@@ -7,24 +7,29 @@ root beta = sum c_j alpha_j reduce to sums of c_j * d_j terms, where d
 is the symmetrizer, so the quotient is a ratio of two exact integer
 products.
 
-Neither product loops over coordinates.  ``root_ancestry`` writes every
-positive root as a lower root plus one simple root alpha_i, so a root's
-pairing with lambda + rho is its parent's plus (w_i + 1) * d_i.  The
-walk starts from the simple roots, which come first in root order, and
-appends one sum per later root.  The pairings are counted by value, the
-cached counts of the rho pairings (the denominator, independent of the
-weight) are subtracted, and only the surviving powers are multiplied.
-The final division is checked to be exact.
+Neither product loops over coordinates.  The pairing with lambda + rho
+is additive, with value (w_i + 1) * d_i on alpha_i, and rootsys gives it
+on every positive root.  On A-D each root is a difference of two suffix
+sums of the simple roots, or the sum of two less a third, so its pairing
+is the same combination of the suffix sums of those values, and no
+ancestry is built.  On E, F and G ``root_ancestry`` writes every root as
+a lower root plus one simple root alpha_i, so its pairing is its
+parent's plus the value on alpha_i, one addition per root.  The
+pairings are counted by value, the cached counts of the rho pairings
+(the denominator, independent of the weight) are subtracted, and only
+the surviving powers are multiplied.  The final division is checked to
+be exact.  Only ``rho_pairings``, which parabolic reads in root order,
+walks the ancestry on A-D.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from functools import lru_cache
 from math import prod
 
-from .rootsys import SimpleType, checked_weight, root_ancestry, symmetrizers
+from .rootsys import SimpleType, _root_values, _value_multiset, checked_weight, symmetrizers
 
 Weight = tuple[int, ...]
 
@@ -33,7 +38,7 @@ def dim_irrep(typ: SimpleType, weight: Iterable[int]) -> int:
     """Dimension of the irreducible module with the given highest weight."""
     w = checked_weight(typ, weight)
     d = symmetrizers(typ)
-    powers = Counter(_root_values(typ, [(c + 1) * dj for c, dj in zip(w, d)]))
+    powers = Counter(_value_multiset(typ, [(c + 1) * dj for c, dj in zip(w, d)]))
     powers.subtract(_rho_counts(typ))
     num = prod(v**e for v, e in powers.items() if e > 0)
     den = prod(v**-e for v, e in powers.items() if e < 0)
@@ -41,17 +46,6 @@ def dim_irrep(typ: SimpleType, weight: Iterable[int]) -> int:
     if r:
         raise RuntimeError(f"Weyl product for {typ} {w} is not an integer")
     return q
-
-
-def _root_values(typ: SimpleType, simple: Sequence[int]) -> list[int]:
-    """A linear form on every positive root, from its values on the simple roots."""
-    parent, node = root_ancestry(typ)
-    n = typ.rank  # the first n roots are the simple ones, the only ones without parent
-    val = [simple[i] for i in node[:n]]
-    append = val.append
-    for p, i in zip(parent[n:], node[n:]):
-        append(val[p] + simple[i])
-    return val
 
 
 @lru_cache(maxsize=None)
@@ -63,8 +57,8 @@ def rho_pairings(typ: SimpleType) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _rho_counts(typ: SimpleType) -> Counter:
     """How often each value of (rho, beta) occurs among the positive roots,
-    walked anew so that dim_irrep alone caches no per-root tuple."""
-    return Counter(_root_values(typ, symmetrizers(typ)))
+    counted anew so that dim_irrep alone caches no per-root tuple."""
+    return Counter(_value_multiset(typ, symmetrizers(typ)))
 
 
 def dim_irrep_product(parts: Iterable[tuple[SimpleType, Iterable[int]]]) -> int:

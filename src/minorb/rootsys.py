@@ -10,10 +10,15 @@ of Dynkin subdiagrams.  Conventions fixed once, for every other module:
 * Roots and weights are plain integer tuples; a root is written in the
   simple-root basis, a weight in the fundamental-weight basis.
 * Positive roots are listed by height and then lexicographically.  A-D
-  write theirs down from the closed forms of Bourbaki's Plates I-IV; E, F
-  and G, whose root lists have no short closed form, derive theirs from the
+  write theirs down from the closed forms of Bourbaki's Plates I-IV, as
+  differences and sums of suffix sums of the simple roots; E, F and G,
+  whose root lists have no short closed form, derive theirs from the
   Cartan matrix height by height.  The tests hold the two builders to the
-  same output on A-D.
+  same output on A-D.  A linear form on roots is additive, so on A-D the
+  same suffix sums of its simple-root values give its value on every root
+  (a Weyl pairing, say) with no root built.  Ancestry, each root as a
+  lower root plus one simple root, is built only when root_ancestry is
+  asked for it.
 * Each family's diagram is written once, as its edges and the root length
   ``d_i`` of each node: the symmetrizers, minimal positive integers making
   ``cartan * diag(d)`` symmetric.  A bond p - q has Cartan entries
@@ -29,9 +34,9 @@ from __future__ import annotations
 import re
 from array import array
 from functools import lru_cache
-from itertools import chain, permutations
+from itertools import accumulate, chain, permutations
 from operator import index
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]
@@ -155,27 +160,61 @@ def symmetrizers(typ: SimpleType) -> Vector:
     return _diagram(typ)[1]
 
 
-@lru_cache(maxsize=None)
-def _root_pass(typ: SimpleType) -> tuple[tuple[Vector, ...], array, array]:
-    """The positive roots with their ancestry arrays, from one builder.
+@lru_cache(maxsize=None)  # bench/spans.py counts root builds at its cache misses
+def positive_roots(typ: SimpleType) -> tuple[Vector, ...]:
+    """All positive roots, by height then lexicographically.
 
-    A root is one int, a byte per node with node 1 most significant, so
-    beta + alpha_i is one addition and integer order is lexicographic
-    order.  A byte is ample: no coefficient exceeds 6 (E8's highest root).
-    The builder is chosen by family, because a closed form for the roots
-    belongs to a family: A-D have one each, valid at every rank, and their
-    root counts grow with the rank, so _classical_pass writes them down.
-    E, F and G are five fixed types with at most 120 positive roots, which
-    _height_pass derives from the Cartan matrix.  Both builders give the
-    roots by height and then by code, with the same ancestry; the tests
-    run _height_pass on A-D too and check that the two agree.
+    A root is built as one int, a byte per node with node 1 most
+    significant, so beta + alpha_i is one addition and integer order is
+    lexicographic order.  A byte is ample: no coefficient exceeds 6 (E8's
+    highest root).  The builder is chosen by family, because a closed form
+    for the roots belongs to a family: A-D have one each, valid at every
+    rank, and their root counts grow with the rank, so _classical_codes
+    writes them down.  E, F and G are five fixed types with at most 120
+    positive roots, which _height_pass derives from the Cartan matrix.
+    Both give the roots by height and then by code; the tests run
+    _height_pass on A-D too and check that the two agree.
     """
-    build = _classical_pass if typ.family in _RANK_MIN else _height_pass
-    codes, parent, node = build(typ)
+    codes = _classical_codes(typ) if typ.family in _RANK_MIN else _height_pass(typ)[0]
     n = typ.rank
-    return tuple(tuple(code.to_bytes(n, "big")) for code in codes), parent, node
+    return tuple(tuple(code.to_bytes(n, "big")) for code in codes)
 
 
+@lru_cache(maxsize=None)
+def root_ancestry(typ: SimpleType) -> tuple[array, array]:
+    """One step down from every positive root, as two flat index arrays.
+
+    For ``beta = positive_roots(typ)[k]``, ``node[k]`` is the lowest 0-based
+    node i such that beta - alpha_i is a positive root or zero, and
+    ``parent[k]`` is the index of that root, or -1 when beta is alpha_i
+    itself.  Roots come by height, so the first ``typ.rank`` roots are the
+    simple roots, the only ones with parent -1, and every parent precedes
+    its child: any linear form on roots follows from its values on the
+    simple roots in one pass.  The arrays are built only when asked for:
+    E, F and G keep the ones _height_pass records, and A-D write their
+    codes down again and probe them here, since a Weyl product on A-D
+    reads its pairings off suffix sums and needs no ancestry.  On A-D a
+    root's node is the first node k, from its lowest support node on, with
+    code - unit_k a root: subtracting at a zero byte borrows into a 255
+    byte, which no root has.
+    """
+    if typ.family not in _RANK_MIN:
+        return _height_pass(typ)[1:]
+    n = typ.rank
+    unit = [1 << 8 * (n - 1 - i) for i in range(n)]
+    codes = _classical_codes(typ)
+    index = {code: k for k, code in enumerate(codes)}
+    parent, node = [-1] * n, list(range(n - 1, -1, -1))  # alpha_n, ..., alpha_1
+    for code in codes[n:]:
+        k = n - 1 - ((code.bit_length() - 1) >> 3)  # its lowest support node
+        while (p := index.get(code - unit[k])) is None:
+            k += 1
+        parent.append(p)
+        node.append(k)
+    return array("i", parent), array("i", node)
+
+
+@lru_cache(maxsize=None)
 def _height_pass(typ: SimpleType) -> tuple[list[int], array, array]:
     """Root codes by height, with parent and node arrays, from the Cartan matrix.
 
@@ -229,68 +268,61 @@ def _height_pass(typ: SimpleType) -> tuple[list[int], array, array]:
     return codes, parent, node
 
 
-def _classical_pass(typ: SimpleType) -> tuple[list[int], array, array]:
-    """Root codes of A-D by height, with parent and node arrays, in closed form.
+def _suffix_form(typ: SimpleType, simple: Sequence[int]) -> list[int]:
+    """A linear form on every A-D positive root, from suffix sums, in
+    enumeration order (not root order).
 
-    With suf[i] the code of alpha_(i+1) + ... + alpha_n (0-based node i on;
-    suf[n] = 0), of height n - i, the positive roots are the epsilon_i -+
-    epsilon_j of Bourbaki's Plates I-IV (Lie Groups and Lie Algebras,
-    Ch. VI): the segments suf[i] - suf[j], i < j <= n (j <= n - 1 for D),
-    and for B, C, D the sums suf[i] + suf[j] - suf[m], with m = n, n - 1,
-    n - 2 and j from i + 1, i, i + 1 up to n - 1, n - 2, n - 1.  Codes
-    are bucketed by height and sorted within each bucket.  A root's node
-    is the first node k, from its lowest support node on, with code -
-    unit_k a root: subtracting at a zero byte borrows into a 255 byte,
-    which no root has.
+    With suf[i] = simple[i] + ... + simple[n - 1] (0-based node i on;
+    suf[n] = 0), the positive roots are the epsilon_i -+ epsilon_j of
+    Bourbaki's Plates I-IV (Lie Groups and Lie Algebras, Ch. VI): the
+    segments suf[i] - suf[j], i < j <= n (j <= n - 1 for D), then for B, C,
+    D the sums suf[i] - suf[m] + suf[j], with m = n, n - 1, n - 2 and j
+    from i + 1, i, i + 1 up to n - 1, n - 2, n - 1.  A form is additive, so
+    these are its values whatever it is: the codes on the unit codes, the
+    heights on all ones, a Weyl pairing on its simple-root values.
     """
     n, family = typ.rank, typ.family
-    unit = [1 << 8 * (n - 1 - i) for i in range(n)]
-    suf = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suf[i] = suf[i + 1] + unit[i]
-    buckets: list[list[int]] = [[] for _ in range(2 * n)]
+    suf = list(accumulate(reversed(simple), initial=0))[::-1]
     last = n - 1 if family == "D" else n
-    for i in range(n):
-        for j in range(i + 1, last + 1):
-            buckets[j - i].append(suf[i] - suf[j])
+    out = [si - sj for i, si in enumerate(suf[:n]) for sj in suf[i + 1 : last + 1]]
     if family != "A":
         first, last, m = {
             "B": (1, n - 1, n), "C": (0, n - 2, n - 1), "D": (1, n - 1, n - 2)
         }[family]
-        for i in range(n):
-            base, height = suf[i] - suf[m], n + m - i
-            for j in range(i + first, last + 1):
-                buckets[height - j].append(base + suf[j])
-    codes = [code for bucket in buckets for code in sorted(bucket)]
-    index = {code: k for k, code in enumerate(codes)}
-    parent, node = [-1] * n, list(range(n - 1, -1, -1))  # alpha_n, ..., alpha_1
-    for code in codes[n:]:
-        k = n - 1 - ((code.bit_length() - 1) >> 3)  # its lowest support node
-        while (p := index.get(code - unit[k])) is None:
-            k += 1
-        parent.append(p)
-        node.append(k)
-    return codes, array("i", parent), array("i", node)
+        bases = [si - suf[m] for si in suf[:n]]
+        out += [b + sj for i, b in enumerate(bases) for sj in suf[i + first : last + 1]]
+    return out
 
 
-@lru_cache(maxsize=None)  # bench/spans.py counts root builds at its cache misses
-def positive_roots(typ: SimpleType) -> tuple[Vector, ...]:
-    """All positive roots, by height then lexicographically."""
-    return _root_pass(typ)[0]
+def _classical_codes(typ: SimpleType) -> list[int]:
+    """Root codes of A-D by height and then by code, from _suffix_form:
+    bucketed by height and sorted within each bucket."""
+    n = typ.rank
+    codes = _suffix_form(typ, [1 << 8 * (n - 1 - i) for i in range(n)])
+    buckets: list[list[int]] = [[] for _ in range(2 * n)]
+    for height, code in zip(_suffix_form(typ, [1] * n), codes):
+        buckets[height].append(code)
+    return [code for bucket in buckets for code in sorted(bucket)]
 
 
-def root_ancestry(typ: SimpleType) -> tuple[array, array]:
-    """One step down from every positive root, as two flat index arrays.
+def _root_values(typ: SimpleType, simple: Sequence[int]) -> list[int]:
+    """A linear form on every positive root in root order, from its values
+    on the simple roots, by the ancestry walk."""
+    parent, node = root_ancestry(typ)
+    n = typ.rank  # the first n roots are the simple ones, the only ones without parent
+    val = [simple[i] for i in node[:n]]
+    append = val.append
+    for p, i in zip(parent[n:], node[n:]):
+        append(val[p] + simple[i])
+    return val
 
-    For ``beta = positive_roots(typ)[k]``, ``node[k]`` is the lowest 0-based
-    node i such that beta - alpha_i is a positive root or zero, and
-    ``parent[k]`` is the index of that root, or -1 when beta is alpha_i
-    itself.  Both come from the builder of the roots.  Roots come by
-    height, so the first ``typ.rank`` roots are the simple roots, the only
-    ones with parent -1, and every parent precedes its child: any linear
-    form on roots follows from its values on the simple roots in one pass.
-    """
-    return _root_pass(typ)[1:]
+
+def _value_multiset(typ: SimpleType, simple: Sequence[int]) -> list[int]:
+    """A linear form on every positive root, in no fixed order: off suffix
+    sums for A-D, by the ancestry walk for E, F and G."""
+    if typ.family in _RANK_MIN:
+        return _suffix_form(typ, simple)
+    return _root_values(typ, simple)
 
 
 @lru_cache(maxsize=None)

@@ -411,6 +411,38 @@ def test_argparse_errors_of_normal_size_stay_whole(capsys):
     )
 
 
+def test_a_leading_double_dash_ends_the_options(capsys):
+    """-- before the command only ends the options: the command follows it,
+    and one starting with a minus is an unknown command, not an option."""
+    assert run(capsys, "--", "cartan", "A2") == run(capsys, "cartan", "A2") == (0, " 2 -1\n-1  2\n", "")
+    assert run(capsys, "--", "dim", "A2", "--", "1,1") == (0, "8\n", "")
+    choices = ", ".join(f"'{c}'" for c in _COMMANDS)
+    for command in ("-h", "--json", "--", "nosuch"):
+        assert run(capsys, "--", command, "A2") == (
+            2,
+            "",
+            f"error: argument command: invalid choice: {command!r} (choose from {choices})\n",
+        ), command
+    assert run(capsys, "--") == (2, "", "error: the following arguments are required: command\n")
+
+
+@pytest.mark.parametrize(
+    "argv, unknown",
+    [
+        (("dim", "A2", "-x"), "-x"),
+        (("cartan", "-H"), "-H"),
+        (("-x",), "-x"),
+        (("table", "-x"), "-x"),
+        (("cartan", "--json", "-x", "-y"), "-x -y"),
+        (("dim", "A2", "1,1", "-x"), "-x"),
+    ],
+)
+def test_unknown_options_are_named_before_missing_arguments(capsys, argv, unknown):
+    """An unknown option where a positional belongs is reported as itself,
+    not as the positional it leaves missing."""
+    assert run(capsys, *argv) == (2, "", f"error: unrecognized arguments: {unknown}\n")
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

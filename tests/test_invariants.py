@@ -49,6 +49,7 @@ from util import (
     direct_dim_u,
     grade_counts,
     hilbert_degree,
+    m_by_hilbert,
 )
 
 EXCEPTIONAL_ROWS = {
@@ -485,6 +486,14 @@ def test_column_reads_match_root_by_root_counts(typ):
         pairs = {p: direct_dim_u(typ, p) + 2 for p in combinations(range(1, typ.rank + 1), 2)}
         assert min(pairs.values(), default=math.inf) >= d.d
         assert sorted(crude) == [p for p, value in pairs.items() if value == d.d]
+
+
+@pytest.mark.parametrize("typ", table_types(16), ids=str)
+def test_m_from_hilbert_polynomial_differences(typ):
+    """compute_m against the Hilbert polynomial route: the (p+1)-th finite
+    difference of k -> dim V(k omega_i) vanishes exactly at the argmin nodes,
+    and no p-th difference vanishes."""
+    assert m_by_hilbert(typ) == compute_m(typ)
 
 
 @pytest.mark.parametrize("typ", table_types(8), ids=str)

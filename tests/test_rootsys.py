@@ -20,6 +20,7 @@ from minorb import (
     SimpleType,
     canonicalize,
     cartan_matrix,
+    dim_irrep,
     dim_simple,
     highest_root,
     inverse_cartan,
@@ -31,6 +32,7 @@ from minorb import (
     table_types,
 )
 from minorb import rootsys
+from minorb.repdim import _rho_counts
 from minorb.rootsys import root_ancestry
 from util import ALL_TYPES, MID_TYPES, components_by_matrix, dim_closed_form, weight_by_matrix
 
@@ -323,9 +325,42 @@ def test_root_ancestry_takes_the_lowest_down_node(typ):
     ids=str,
 )
 def test_height_pass_agrees_with_the_closed_forms(typ):
-    """_root_pass serves A-D from their closed forms, so the height pass that
-    serves E, F and G is held to the same codes, parents and nodes here."""
-    assert rootsys._height_pass(typ) == rootsys._classical_pass(typ)
+    """A-D build their roots from closed forms and their ancestry by probing
+    those codes, so the height pass that serves E, F and G is held to the
+    same codes, parents and nodes here."""
+    codes, parent, node = rootsys._height_pass(typ)
+    assert rootsys._classical_codes(typ) == codes
+    assert root_ancestry(typ) == (parent, node)
+
+
+@pytest.mark.parametrize(
+    "typ",
+    [t for t in table_types(24) if t.family in "ABCD"]
+    + [SimpleType(f, n) for n in (40, 56, 64) for f in "ABCD"],
+    ids=str,
+)
+def test_suffix_sums_give_the_ancestry_walk_values(typ):
+    """A-D read a linear form's values off suffix sums, in no root order; the
+    ancestry walk gives them in root order.  Both must give one multiset, on
+    seeded forms with entries of either sign as well as on rho."""
+    rng = random.Random(f"suffix {typ}")
+    forms = [symmetrizers(typ)] + [
+        [rng.randint(-9, 9) for _ in range(typ.rank)] for _ in range(3)
+    ]
+    for simple in forms:
+        assert sorted(rootsys._value_multiset(typ, simple)) == sorted(rootsys._root_values(typ, simple))
+
+
+def test_weyl_dimensions_on_a_d_build_no_ancestry():
+    """positive_roots from a cold cache and dim_irrep on A-D never ask for
+    root_ancestry, which only the ordered rho pairings need."""
+    types = [SimpleType(f, n) for f in "ABCD" for n in (5, 17)]
+    for cache in (positive_roots, root_ancestry, _rho_counts):
+        cache.cache_clear()
+    for typ in types:
+        assert len(positive_roots(typ)) > 0
+        assert dim_irrep(typ, range(typ.rank)) > 1
+    assert root_ancestry.cache_info().misses == 0
 
 
 # sha256 of repr(positive_roots(t)), taken from the string-probing builder

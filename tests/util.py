@@ -2,7 +2,8 @@
 and the second routes that the tests compare with the library."""
 
 from collections import Counter
-from itertools import combinations, permutations
+from itertools import combinations, count, permutations
+from math import comb
 
 from minorb import (
     BoundCertificate,
@@ -161,6 +162,30 @@ def hilbert_degree(typ: SimpleType, weight) -> int:
         degree += 1
         values = [b - a for a, b in zip(values, values[1:])]
     return degree
+
+
+def m_by_hilbert(typ: SimpleType) -> tuple[int, int, tuple[int, ...]]:
+    """m, p and the argmin nodes from finite differences of Weyl dimensions alone.
+
+    k -> dim V(k omega_i) is a polynomial of degree dim u(P_i) (see
+    hilbert_degree).  Each of its Weyl factors <k omega_i + rho, beta^vee> /
+    <rho, beta^vee> is linear in k with nonnegative coefficients, so the
+    polynomial has nonnegative coefficients, and its j-th difference at 0,
+    sum over k of (-1)^(j-k) C(j, k) dim V(k omega_i), is positive for j up
+    to the degree and zero past it.  The differences are taken at every node
+    in step, j = 0, 1, ...: the first j at which some vanish is p + 1 = m,
+    and the nodes where they vanish are the argmin.  No support mask, popcount
+    or dim_u enters, and each node needs the values at k = 0..m only.
+    """
+    n = typ.rank
+    values: list[list[int]] = [[] for _ in range(n)]
+    for j in count():
+        for i, vals in enumerate(values):
+            vals.append(dim_irrep(typ, tuple(j * (k == i) for k in range(n))))
+        diffs = [sum((-1) ** (j - k) * comb(j, k) * v for k, v in enumerate(vals)) for vals in values]
+        argmin = tuple(i for i, x in enumerate(diffs, 1) if x == 0)
+        if argmin:
+            return j, j - 1, argmin
 
 
 def modules_below(typ: SimpleType, bound: int) -> list[tuple[int, ...]]:
