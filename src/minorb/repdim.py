@@ -7,19 +7,18 @@ root beta = sum c_j alpha_j reduce to sums of c_j * d_j terms, where d
 is the symmetrizer, so the quotient is a ratio of two exact integer
 products.
 
-Neither product loops over coordinates.  The pairing with lambda + rho
-is additive, with value (w_i + 1) * d_i on alpha_i, and rootsys gives it
-on every positive root.  On A-D each root is a difference of two suffix
-sums of the simple roots, or the sum of two less a third, so its pairing
-is the same combination of the suffix sums of those values, and no
-ancestry is built.  On E, F and G ``root_ancestry`` writes every root as
-a lower root plus one simple root alpha_i, so its pairing is its
-parent's plus the value on alpha_i, one addition per root.  The
-pairings are counted by value, the cached counts of the rho pairings
-(the denominator, independent of the weight) are subtracted, and only
-the surviving powers are multiplied.  The final division is checked to
-be exact.  Only ``rho_pairings``, which parabolic reads in root order,
-walks the ancestry on A-D.
+The pairing with lambda + rho is additive, with value (w_i + 1) * d_i on
+alpha_i, and rootsys gives it on every positive root.  On A-D each root is
+a difference of two suffix sums of the simple roots, or the sum of two
+less a third, so its pairing is the same combination of the suffix sums
+of those values: no loop over coordinates, and no root built.  E, F and
+G, of rank at most 8, take one dot product per root.  The pairings are
+counted by value, the cached counts of the rho pairings (the denominator,
+independent of the weight) are subtracted, and only the surviving powers
+are multiplied.  The final division is checked to be exact.
+``rho_pairings``, which parabolic reads in root order, puts the A-D
+pairings in that order by looking each root's code up among the suffix
+sums of the simple roots' codes.
 """
 
 from __future__ import annotations

@@ -16,9 +16,9 @@ of Dynkin subdiagrams.  Conventions fixed once, for every other module:
   Cartan matrix height by height.  The tests hold the two builders to the
   same output on A-D.  A linear form on roots is additive, so on A-D the
   same suffix sums of its simple-root values give its value on every root
-  (a Weyl pairing, say) with no root built.  Ancestry, each root as a
-  lower root plus one simple root, is built only when root_ancestry is
-  asked for it.
+  (a Weyl pairing, say) with no root built; paired with the same suffix
+  sums of the codes, they give it in root order.  E, F and G take one dot
+  product per root.
 * Each family's diagram is written once, as its edges and the root length
   ``d_i`` of each node: the symmetrizers, minimal positive integers making
   ``cartan * diag(d)`` symmetric.  A bond p - q has Cartan entries
@@ -32,10 +32,9 @@ of Dynkin subdiagrams.  Conventions fixed once, for every other module:
 from __future__ import annotations
 
 import re
-from array import array
 from functools import lru_cache
 from itertools import accumulate, chain, permutations
-from operator import index
+from operator import index, mul
 from typing import Iterable, NamedTuple, Sequence
 
 Vector = tuple[int, ...]
@@ -175,48 +174,13 @@ def positive_roots(typ: SimpleType) -> tuple[Vector, ...]:
     Both give the roots by height and then by code; the tests run
     _height_pass on A-D too and check that the two agree.
     """
-    codes = _classical_codes(typ) if typ.family in _RANK_MIN else _height_pass(typ)[0]
+    codes = _classical_codes(typ) if typ.family in _RANK_MIN else _height_pass(typ)
     n = typ.rank
     return tuple(tuple(code.to_bytes(n, "big")) for code in codes)
 
 
-@lru_cache(maxsize=None)
-def root_ancestry(typ: SimpleType) -> tuple[array, array]:
-    """One step down from every positive root, as two flat index arrays.
-
-    For ``beta = positive_roots(typ)[k]``, ``node[k]`` is the lowest 0-based
-    node i such that beta - alpha_i is a positive root or zero, and
-    ``parent[k]`` is the index of that root, or -1 when beta is alpha_i
-    itself.  Roots come by height, so the first ``typ.rank`` roots are the
-    simple roots, the only ones with parent -1, and every parent precedes
-    its child: any linear form on roots follows from its values on the
-    simple roots in one pass.  The arrays are built only when asked for:
-    E, F and G keep the ones _height_pass records, and A-D write their
-    codes down again and probe them here, since a Weyl product on A-D
-    reads its pairings off suffix sums and needs no ancestry.  On A-D a
-    root's node is the first node k, from its lowest support node on, with
-    code - unit_k a root: subtracting at a zero byte borrows into a 255
-    byte, which no root has.
-    """
-    if typ.family not in _RANK_MIN:
-        return _height_pass(typ)[1:]
-    n = typ.rank
-    unit = [1 << 8 * (n - 1 - i) for i in range(n)]
-    codes = _classical_codes(typ)
-    index = {code: k for k, code in enumerate(codes)}
-    parent, node = [-1] * n, list(range(n - 1, -1, -1))  # alpha_n, ..., alpha_1
-    for code in codes[n:]:
-        k = n - 1 - ((code.bit_length() - 1) >> 3)  # its lowest support node
-        while (p := index.get(code - unit[k])) is None:
-            k += 1
-        parent.append(p)
-        node.append(k)
-    return array("i", parent), array("i", node)
-
-
-@lru_cache(maxsize=None)
-def _height_pass(typ: SimpleType) -> tuple[list[int], array, array]:
-    """Root codes by height, with parent and node arrays, from the Cartan matrix.
+def _height_pass(typ: SimpleType) -> list[int]:
+    """Root codes by height and then by code, from the Cartan matrix.
 
     The pass goes height by height and probes no root string.  beta + alpha_i
     is a root iff p_i > <beta, coroot_i>, where p_i counts how often alpha_i
@@ -237,35 +201,33 @@ def _height_pass(typ: SimpleType) -> tuple[list[int], array, array]:
         rows[p] += apq << shift[q]
         rows[q] += aqp << shift[p]
     up_base, up_bits = 0x7F * ones, 0x80 * ones
-    # top bit of node i's byte -> (i, its unit, its byte mask, its Cartan row)
-    steps = {s + 7: (i, unit[i], 255 << s, rows[i]) for i, s in enumerate(shift)}
+    # top bit of node i's byte -> (its unit, its byte mask, its Cartan row)
+    steps = {s + 7: (unit[i], 255 << s, rows[i]) for i, s in enumerate(shift)}
     codes: list[int] = []
-    parent, node = array("i"), array("i")
-    # code -> [pairings, depths, parent index, node]; a root is first reached
-    # from its smallest parent, one step down by its lowest node, as layers
-    # are walked in order.  A simple root's depth 1 is its zero step.
-    layer = {unit[i]: [rows[i], unit[i], -1, i] for i in range(n)}
+    # code -> [pairings, depths]; a simple root's depth 1 is its zero step.
+    layer = {unit[i]: [rows[i], unit[i]] for i in range(n)}
     while layer:
+        codes += sorted(layer)
         nxt: dict[int, list[int]] = {}
-        for code in sorted(layer):
-            pairings, depths, low_parent, low = layer[code]
-            k = len(codes)
-            codes.append(code)
-            parent.append(low_parent)
-            node.append(low)
+        for code, (pairings, depths) in layer.items():
             ups = (depths + up_base - pairings) & up_bits
             while ups:
                 top = ups.bit_length() - 1
                 ups ^= 1 << top
-                i, u, byte, row = steps[top]
+                u, byte, row = steps[top]
                 depth = (depths & byte) + u
                 child = nxt.get(code + u)
                 if child is None:
-                    nxt[code + u] = [pairings + row, depth, k, i]
+                    nxt[code + u] = [pairings + row, depth]
                 else:
                     child[1] += depth
         layer = nxt
-    return codes, parent, node
+    return codes
+
+
+def _units(n: int) -> list[int]:
+    """The codes of the n simple roots: a byte per node, node 1 most significant."""
+    return [1 << 8 * (n - 1 - i) for i in range(n)]
 
 
 def _suffix_form(typ: SimpleType, simple: Sequence[int]) -> list[int]:
@@ -298,28 +260,27 @@ def _classical_codes(typ: SimpleType) -> list[int]:
     """Root codes of A-D by height and then by code, from _suffix_form:
     bucketed by height and sorted within each bucket."""
     n = typ.rank
-    codes = _suffix_form(typ, [1 << 8 * (n - 1 - i) for i in range(n)])
     buckets: list[list[int]] = [[] for _ in range(2 * n)]
-    for height, code in zip(_suffix_form(typ, [1] * n), codes):
+    for height, code in zip(_suffix_form(typ, [1] * n), _suffix_form(typ, _units(n))):
         buckets[height].append(code)
     return [code for bucket in buckets for code in sorted(bucket)]
 
 
 def _root_values(typ: SimpleType, simple: Sequence[int]) -> list[int]:
     """A linear form on every positive root in root order, from its values
-    on the simple roots, by the ancestry walk."""
-    parent, node = root_ancestry(typ)
-    n = typ.rank  # the first n roots are the simple ones, the only ones without parent
-    val = [simple[i] for i in node[:n]]
-    append = val.append
-    for p, i in zip(parent[n:], node[n:]):
-        append(val[p] + simple[i])
-    return val
+    on the simple roots.  On A-D the two suffix forms, of the unit codes and
+    of the values, pair each code with its value, which is looked up along
+    the codes in root order.  E, F and G, with at most 120 roots of rank at
+    most 8, take one dot product per root."""
+    if typ.family in _RANK_MIN:
+        value = dict(zip(_suffix_form(typ, _units(typ.rank)), _suffix_form(typ, simple)))
+        return [value[code] for code in _classical_codes(typ)]
+    return [sum(map(mul, root, simple)) for root in positive_roots(typ)]
 
 
 def _value_multiset(typ: SimpleType, simple: Sequence[int]) -> list[int]:
-    """A linear form on every positive root, in no fixed order: off suffix
-    sums for A-D, by the ancestry walk for E, F and G."""
+    """A linear form on every positive root, in no fixed order: the suffix
+    form itself for A-D, _root_values for E, F and G."""
     if typ.family in _RANK_MIN:
         return _suffix_form(typ, simple)
     return _root_values(typ, simple)

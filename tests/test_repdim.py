@@ -20,7 +20,7 @@ from minorb import (
     table_types,
 )
 
-from util import ALL_TYPES, SMALL_TYPES, weyl_vector
+from util import ALL_TYPES, MAX_MODULES_BELOW, SMALL_TYPES, modules_below, weyl_vector
 
 
 def fund(typ, i):
@@ -191,3 +191,13 @@ def test_rejects_bad_weights():
         dim_irrep(a2, (c for c in (1, 0.5)))
     with pytest.raises(ValueError):
         dual_weight(a2, (1,))
+
+
+def test_modules_below_raises_past_its_cap():
+    """V(k omega_1) of A1 has dimension k + 1, so exactly cap weights lie
+    below cap + 1, and one more passes the cap."""
+    a1, cap = SimpleType("A", 1), MAX_MODULES_BELOW
+    assert modules_below(a1, cap) == [(k,) for k in range(cap - 1)]
+    assert modules_below(a1, cap + 1) == [(k,) for k in range(cap)]
+    with pytest.raises(AssertionError, match=f"more than {cap} modules of A1"):
+        modules_below(a1, cap + 2)

@@ -32,8 +32,7 @@ from minorb import (
     table_types,
 )
 from minorb import rootsys
-from minorb.repdim import _rho_counts
-from minorb.rootsys import root_ancestry
+from minorb.repdim import _rho_counts, rho_pairings
 from util import ALL_TYPES, MID_TYPES, components_by_matrix, dim_closed_form, weight_by_matrix
 
 E6, E7, E8 = SimpleType("E", 6), SimpleType("E", 7), SimpleType("E", 8)
@@ -265,19 +264,19 @@ def test_positive_root_count_is_rank_times_half_coxeter_number(typ):
 
 
 @pytest.mark.parametrize(
-    "typ", ALL_TYPES + [SimpleType(f, 40) for f in "ABCD"], ids=str
+    "typ", ALL_TYPES + [SimpleType(f, n) for n in (40, MAX_RANK) for f in "ABCD"], ids=str
 )
-def test_root_ancestry_steps_down_one_simple_root(typ):
-    """Each root is its listed parent (or zero) plus the listed simple root."""
+def test_roots_step_down_one_simple_root_to_an_earlier_root(typ):
+    """The first rank roots are the simple roots, and every later root less
+    some simple root is an earlier root, found by probing every coordinate."""
     roots = positive_roots(typ)
-    parent, node = root_ancestry(typ)
-    assert len(parent) == len(node) == len(roots)
-    assert set(parent[: typ.rank]) == {-1} and -1 not in parent[typ.rank :]
-    zero = (0,) * typ.rank
-    for k, (p, i) in enumerate(zip(parent, node)):
-        assert -1 <= p < k
-        lower = zero if p < 0 else roots[p]
-        assert roots[k] == tuple(c + (j == i) for j, c in enumerate(lower))
+    n = typ.rank
+    assert sorted(roots[:n]) == sorted(tuple(int(i == j) for j in range(n)) for i in range(n))
+    earlier = set(roots[:n])
+    for beta in roots[n:]:
+        lower = (beta[:i] + (c - 1,) + beta[i + 1 :] for i, c in enumerate(beta) if c)
+        assert any(r in earlier for r in lower), beta
+        earlier.add(beta)
 
 
 # closed-form highest roots of the classical families at rank n
@@ -303,64 +302,46 @@ def test_root_core_at_the_rank_ceiling(family):
 
 
 @pytest.mark.parametrize(
-    "typ", ALL_TYPES + [SimpleType(f, MAX_RANK) for f in "ABCD"], ids=str
-)
-def test_root_ancestry_takes_the_lowest_down_node(typ):
-    """node[k] is the lowest node i with beta - alpha_i a root or zero, found by
-    probing every coordinate; F4 and G2 have the strings of length 2-3."""
-    roots = positive_roots(typ)
-    index = {beta: k for k, beta in enumerate(roots)}
-    index[(0,) * typ.rank] = -1
-    parent, node = root_ancestry(typ)
-    for k, beta in enumerate(roots):
-        lower = (beta[:i] + (c - 1,) + beta[i + 1 :] for i, c in enumerate(beta))
-        i, below = next((i, r) for i, r in enumerate(lower) if r in index)
-        assert (node[k], parent[k]) == (i, index[below])
-
-
-@pytest.mark.parametrize(
     "typ",
     [t for t in table_types(24) if t.family in "ABCD"]
     + [SimpleType(f, n) for n in (40, 56, 64) for f in "ABCD"],
     ids=str,
 )
 def test_height_pass_agrees_with_the_closed_forms(typ):
-    """A-D build their roots from closed forms and their ancestry by probing
-    those codes, so the height pass that serves E, F and G is held to the
-    same codes, parents and nodes here."""
-    codes, parent, node = rootsys._height_pass(typ)
-    assert rootsys._classical_codes(typ) == codes
-    assert root_ancestry(typ) == (parent, node)
+    """A-D build their roots from closed forms, so the height pass that
+    serves E, F and G is held to the same codes here."""
+    assert rootsys._classical_codes(typ) == rootsys._height_pass(typ)
 
 
 @pytest.mark.parametrize(
-    "typ",
-    [t for t in table_types(24) if t.family in "ABCD"]
-    + [SimpleType(f, n) for n in (40, 56, 64) for f in "ABCD"],
-    ids=str,
+    "typ", table_types(24) + [SimpleType(f, n) for n in (40, 56, 64) for f in "ABCD"], ids=str
 )
-def test_suffix_sums_give_the_ancestry_walk_values(typ):
-    """A-D read a linear form's values off suffix sums, in no root order; the
-    ancestry walk gives them in root order.  Both must give one multiset, on
-    seeded forms with entries of either sign as well as on rho."""
-    rng = random.Random(f"suffix {typ}")
+def test_root_order_values_are_dot_products(typ):
+    """_root_values gives a linear form on every root in root order, and
+    _value_multiset the same values in any order; the reference takes each
+    root's dot product with the form, on rho and on seeded forms with
+    entries of either sign."""
+    rng = random.Random(f"root values {typ}")
     forms = [symmetrizers(typ)] + [
         [rng.randint(-9, 9) for _ in range(typ.rank)] for _ in range(3)
     ]
+    roots = positive_roots(typ)
     for simple in forms:
-        assert sorted(rootsys._value_multiset(typ, simple)) == sorted(rootsys._root_values(typ, simple))
+        dots = [sum(c * x for c, x in zip(beta, simple)) for beta in roots]
+        assert rootsys._root_values(typ, simple) == dots
+        assert sorted(rootsys._value_multiset(typ, simple)) == sorted(dots)
 
 
-def test_weyl_dimensions_on_a_d_build_no_ancestry():
-    """positive_roots from a cold cache and dim_irrep on A-D never ask for
-    root_ancestry, which only the ordered rho pairings need."""
+def test_weyl_dimensions_on_a_d_build_no_root_list():
+    """dim_irrep and rho_pairings on A-D from cold caches never build a root
+    list: both read their pairings off suffix sums."""
     types = [SimpleType(f, n) for f in "ABCD" for n in (5, 17)]
-    for cache in (positive_roots, root_ancestry, _rho_counts):
+    for cache in (positive_roots, _rho_counts, rho_pairings):
         cache.cache_clear()
     for typ in types:
-        assert len(positive_roots(typ)) > 0
         assert dim_irrep(typ, range(typ.rank)) > 1
-    assert root_ancestry.cache_info().misses == 0
+        assert min(rho_pairings(typ)) == 1  # on the short simple roots
+    assert positive_roots.cache_info().misses == 0
 
 
 # sha256 of repr(positive_roots(t)), taken from the string-probing builder
@@ -377,22 +358,6 @@ def test_fingerprints_cover_the_inventory():
 def test_positive_roots_fingerprint(name):
     roots = positive_roots(SimpleType(name[0], int(name[1:])))
     assert sha256(repr(roots).encode()).hexdigest() == FINGERPRINTS[name]
-
-
-# sha256 of repr(root_ancestry(t)), typecodes included, taken from the
-# positive_roots pass that kept a dict of down nodes per root, before packed
-# depths replaced it.
-ANCESTRY_FINGERPRINTS = json.loads((Path(__file__).parent / "ancestry_sha256.json").read_text())
-
-
-def test_ancestry_fingerprints_cover_the_inventory():
-    assert list(ANCESTRY_FINGERPRINTS) == list(FINGERPRINTS)
-
-
-@pytest.mark.parametrize("name", ANCESTRY_FINGERPRINTS)
-def test_root_ancestry_fingerprint(name):
-    arrays = root_ancestry(SimpleType(name[0], int(name[1:])))
-    assert sha256(repr(arrays).encode()).hexdigest() == ANCESTRY_FINGERPRINTS[name]
 
 
 # sha256 of repr((cartan_matrix(t), symmetrizers(t))), taken while each family

@@ -188,6 +188,12 @@ def m_by_hilbert(typ: SimpleType) -> tuple[int, int, tuple[int, ...]]:
             return j, j - 1, argmin
 
 
+# modules_below's callers expect a handful of weights; past this many the
+# search raises, as dimensions that come out too small would widen its layers
+# without end
+MAX_MODULES_BELOW = 100
+
+
 def modules_below(typ: SimpleType, bound: int) -> list[tuple[int, ...]]:
     """Every dominant weight whose irreducible module has dimension below bound.
 
@@ -196,13 +202,21 @@ def modules_below(typ: SimpleType, bound: int) -> list[tuple[int, ...]]:
     dim V(lambda + omega_i) > dim V(lambda), because in Weyl's product every
     factor <lambda + rho, beta^vee> / <rho, beta^vee> grows or stays, and
     the one of alpha_i grows.  Every dominant weight is a sum of fundamental
-    weights, so each one below bound is met.
+    weights, so each one below bound is met.  Past MAX_MODULES_BELOW
+    weights it raises AssertionError.
     """
     zero = (0,) * typ.rank
     found, layer = {zero}, [zero]
     while layer:
         ups = {w[:i] + (w[i] + 1,) + w[i + 1 :] for w in layer for i in range(typ.rank)}
-        layer = [w for w in ups - found if dim_irrep(typ, w) < bound]
+        layer = []
+        for w in ups - found:
+            if dim_irrep(typ, w) < bound:
+                layer.append(w)
+                if len(found) + len(layer) > MAX_MODULES_BELOW:
+                    raise AssertionError(
+                        f"more than {MAX_MODULES_BELOW} modules of {typ} below dimension {bound}"
+                    )
         found.update(layer)
     return sorted(found)
 
