@@ -7,6 +7,7 @@ dimensions, a local inversion over Fraction, and hand-enumerated small systems.
 
 import json
 import random
+from array import array
 from fractions import Fraction
 from hashlib import sha256
 from itertools import permutations
@@ -266,7 +267,7 @@ def test_positive_root_count_is_rank_times_half_coxeter_number(typ):
 @pytest.mark.parametrize(
     "typ", ALL_TYPES + [SimpleType(f, n) for n in (40, MAX_RANK) for f in "ABCD"], ids=str
 )
-def test_roots_step_down_one_simple_root_to_an_earlier_root(typ):
+def test_root_ancestry_steps_down_one_simple_root(typ):
     """The first rank roots are the simple roots, and every later root less
     some simple root is an earlier root, found by probing every coordinate."""
     roots = positive_roots(typ)
@@ -301,6 +302,41 @@ def test_root_core_at_the_rank_ceiling(family):
     assert roots[-1] == HIGHEST_ROOT[family](n)
 
 
+def ancestry(typ):
+    """One step down from every root of positive_roots(typ), as two flat
+    index arrays: node[k] is the lowest node i with beta - alpha_i a root or
+    zero, found by probing every coordinate, and parent[k] is that root's
+    index, or -1 for zero.  The library builds no ancestry; this reference
+    reads it off the root list, so it pins that list's order."""
+    roots = positive_roots(typ)
+    index = {beta: k for k, beta in enumerate(roots)}
+    index[(0,) * typ.rank] = -1
+    parent, node = array("i"), array("i")
+    for beta in roots:
+        lower = (beta[:i] + (c - 1,) + beta[i + 1 :] for i, c in enumerate(beta))
+        i, below = next((i, r) for i, r in enumerate(lower) if r in index)
+        parent.append(index[below])
+        node.append(i)
+    return parent, node
+
+
+@pytest.mark.parametrize(
+    "typ", ALL_TYPES + [SimpleType(f, MAX_RANK) for f in "ABCD"], ids=str
+)
+def test_root_ancestry_takes_the_lowest_down_node(typ):
+    """Each root's lowest down node leads to zero or to an earlier root, so
+    one pass in root order reaches every root from its parent; only the
+    first rank roots, the simple ones, step down to zero."""
+    roots = positive_roots(typ)
+    parent, node = ancestry(typ)
+    assert set(parent[: typ.rank]) == {-1} and -1 not in parent[typ.rank :]
+    zero = (0,) * typ.rank
+    for k, (p, i) in enumerate(zip(parent, node)):
+        assert -1 <= p < k
+        lower = zero if p < 0 else roots[p]
+        assert roots[k] == tuple(c + (j == i) for j, c in enumerate(lower))
+
+
 @pytest.mark.parametrize(
     "typ",
     [t for t in table_types(24) if t.family in "ABCD"]
@@ -332,9 +368,33 @@ def test_root_order_values_are_dot_products(typ):
         assert sorted(rootsys._value_multiset(typ, simple)) == sorted(dots)
 
 
-def test_weyl_dimensions_on_a_d_build_no_root_list():
-    """dim_irrep and rho_pairings on A-D from cold caches never build a root
-    list: both read their pairings off suffix sums."""
+@pytest.mark.parametrize(
+    "typ",
+    [t for t in table_types(24) if t.family in "ABCD"]
+    + [SimpleType(f, n) for n in (40, 56, 64) for f in "ABCD"],
+    ids=str,
+)
+def test_suffix_sums_give_the_ancestry_walk_values(typ):
+    """A-D read a linear form's values off suffix sums; a walk down the
+    reference ancestry gives them in root order.  _root_values must give
+    the walk's list and _value_multiset its multiset, on rho and on seeded
+    forms with entries of either sign."""
+    rng = random.Random(f"suffix {typ}")
+    forms = [symmetrizers(typ)] + [
+        [rng.randint(-9, 9) for _ in range(typ.rank)] for _ in range(3)
+    ]
+    parent, node = ancestry(typ)
+    for simple in forms:
+        walk: list[int] = []
+        for p, i in zip(parent, node):
+            walk.append((walk[p] if p >= 0 else 0) + simple[i])
+        assert rootsys._root_values(typ, simple) == walk
+        assert sorted(rootsys._value_multiset(typ, simple)) == sorted(walk)
+
+
+def test_weyl_dimensions_on_a_d_build_no_ancestry():
+    """dim_irrep and rho_pairings on A-D from cold caches build neither an
+    ancestry nor a root list: both read their pairings off suffix sums."""
     types = [SimpleType(f, n) for f in "ABCD" for n in (5, 17)]
     for cache in (positive_roots, _rho_counts, rho_pairings):
         cache.cache_clear()
@@ -358,6 +418,23 @@ def test_fingerprints_cover_the_inventory():
 def test_positive_roots_fingerprint(name):
     roots = positive_roots(SimpleType(name[0], int(name[1:])))
     assert sha256(repr(roots).encode()).hexdigest() == FINGERPRINTS[name]
+
+
+# sha256 of repr(ancestry(t)), typecodes included, taken from the
+# positive_roots pass that kept a dict of down nodes per root.  The library
+# keeps no ancestry now; the reference above reads the same arrays off the
+# root list, so these pin its order once more.
+ANCESTRY_FINGERPRINTS = json.loads((Path(__file__).parent / "ancestry_sha256.json").read_text())
+
+
+def test_ancestry_fingerprints_cover_the_inventory():
+    assert list(ANCESTRY_FINGERPRINTS) == list(FINGERPRINTS)
+
+
+@pytest.mark.parametrize("name", ANCESTRY_FINGERPRINTS)
+def test_root_ancestry_fingerprint(name):
+    arrays = ancestry(SimpleType(name[0], int(name[1:])))
+    assert sha256(repr(arrays).encode()).hexdigest() == ANCESTRY_FINGERPRINTS[name]
 
 
 # sha256 of repr((cartan_matrix(t), symmetrizers(t))), taken while each family
