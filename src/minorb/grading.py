@@ -25,10 +25,10 @@ from .rootsys import (
     Component,
     SimpleType,
     _components,
+    _root_to_weight,
     checked_nodes,
     positive_roots,
     root_columns,
-    root_to_weight,
 )
 
 Weight = tuple[int, ...]
@@ -85,7 +85,7 @@ def dim_v_alpha(typ: SimpleType, node: int) -> int:
 
 def _restricted(typ: SimpleType, comps: tuple[Component, ...], k: int) -> tuple[Weight, ...]:
     """Positive root k in fundamental weights, restricted to each component."""
-    m = root_to_weight(typ, positive_roots(typ)[k])
+    m = _root_to_weight(typ, positive_roots(typ)[k])
     return tuple(tuple(m[orig - 1] for orig in comp.nodes) for comp in comps)
 
 

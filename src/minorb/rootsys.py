@@ -34,7 +34,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from itertools import accumulate, chain, permutations
-from operator import index, mul
+from operator import add, index, mul
 from typing import Iterable, NamedTuple, Sequence
 
 Vector = tuple[int, ...]
@@ -182,45 +182,25 @@ def positive_roots(typ: SimpleType) -> tuple[Vector, ...]:
 def _height_pass(typ: SimpleType) -> list[int]:
     """Root codes by height and then by code, from the Cartan matrix.
 
-    The pass goes height by height and probes no root string.  beta + alpha_i
-    is a root iff p_i > <beta, coroot_i>, where p_i counts how often alpha_i
-    can be subtracted from beta, and p_i(beta + alpha_i) = p_i(beta) + 1.
-    Each root carries its depths p_i and coroot pairings packed a byte per
-    node, as its code is, so one subtraction marks all its up nodes.
+    No root string is probed: beta + alpha_i is a root iff p_i > <beta,
+    coroot_i> (Humphreys, Introduction to Lie Algebras, 9.4), where p_i counts
+    how often alpha_i can be subtracted from beta, and p_i(beta + alpha_i) =
+    p_i(beta) + 1.  Each root carries its coroot pairings, the sum of its
+    steps' Cartan rows, and its nonzero depths, alpha_i's own step as one.
     """
-    n = typ.rank
-    shift = [8 * (n - 1 - i) for i in range(n)]
-    unit = [1 << s for s in shift]
-    ones = sum(unit)
-    # Pairings (-3..3) and depths (0..3) are packed the same way, so byte i of
-    # depths + 0x7f * ones - pairings is 0x7c..0x85: no byte borrows, and its
-    # top bit is set exactly when p_i > <beta, coroot_i>.  Cartan row i is
-    # packed from the diagonal 2 and one term per bond end: O(n) in all.
-    rows = [2 << s for s in shift]
-    for p, q, apq, aqp in _bonds(typ):
-        rows[p] += apq << shift[q]
-        rows[q] += aqp << shift[p]
-    up_base, up_bits = 0x7F * ones, 0x80 * ones
-    # top bit of node i's byte -> (its unit, its byte mask, its Cartan row)
-    steps = {s + 7: (unit[i], 255 << s, rows[i]) for i, s in enumerate(shift)}
+    n, a, unit = typ.rank, cartan_matrix(typ), _units(typ.rank)
     codes: list[int] = []
-    # code -> [pairings, depths]; a simple root's depth 1 is its zero step.
-    layer = {unit[i]: [rows[i], unit[i]] for i in range(n)}
+    layer = {unit[i]: (a[i], {i: 1}) for i in range(n)}
     while layer:
         codes += sorted(layer)
-        nxt: dict[int, list[int]] = {}
+        nxt: dict[int, tuple[Vector, dict[int, int]]] = {}
         for code, (pairings, depths) in layer.items():
-            ups = (depths + up_base - pairings) & up_bits
-            while ups:
-                top = ups.bit_length() - 1
-                ups ^= 1 << top
-                u, byte, row = steps[top]
-                depth = (depths & byte) + u
-                child = nxt.get(code + u)
-                if child is None:
-                    nxt[code + u] = [pairings + row, depth]
-                else:
-                    child[1] += depth
+            for i, c in enumerate(pairings):
+                if (p := depths.get(i, 0)) > c:
+                    up = code + unit[i]
+                    if up not in nxt:
+                        nxt[up] = (tuple(map(add, pairings, a[i])), {})
+                    nxt[up][1][i] = p + 1
         layer = nxt
     return codes
 
@@ -345,15 +325,20 @@ def _integers(values: Iterable[int], what: str) -> Vector:
         raise
 
 
-def root_to_weight(typ: SimpleType, root: Vector) -> Vector:
+def root_to_weight(typ: SimpleType, root: Iterable[int]) -> Vector:
     """Fundamental-weight coordinates of a simple-root coordinate vector.
 
     Entry i is the sum over j of C[j][i] * root[j]: 2 * root[i] from the
     diagonal, plus one term per bond end, so the cost is O(n).
     """
-    n = typ.rank
-    if len(root) != n:
-        raise ValueError(f"expected {n} coordinates, got {len(root)}")
+    root = _integers(root, "root")
+    if len(root) != typ.rank:
+        raise ValueError(f"expected {typ.rank} coordinates, got {len(root)}")
+    return _root_to_weight(typ, root)
+
+
+def _root_to_weight(typ: SimpleType, root: Vector) -> Vector:
+    """root_to_weight on a root already read as typ.rank ints."""
     out = [2 * c for c in root]
     for p, q, apq, aqp in _bonds(typ):
         out[q] += apq * root[p]

@@ -247,7 +247,11 @@ def reflection_closure(typ):
     return roots
 
 
-@pytest.mark.parametrize("typ", ALL_TYPES, ids=str)
+# C2 and D3 keep their own numbering, the edge cases of _suffix_form
+NONCANONICAL = [SimpleType("C", 2), SimpleType("D", 3)]
+
+
+@pytest.mark.parametrize("typ", ALL_TYPES + NONCANONICAL, ids=str)
 def test_positive_roots_match_reflection_closure(typ):
     closure = reflection_closure(typ)
     positive = [beta for beta in closure if min(beta) >= 0]
@@ -340,6 +344,7 @@ def test_root_ancestry_takes_the_lowest_down_node(typ):
 @pytest.mark.parametrize(
     "typ",
     [t for t in table_types(24) if t.family in "ABCD"]
+    + NONCANONICAL
     + [SimpleType(f, n) for n in (40, 56, 64) for f in "ABCD"],
     ids=str,
 )
@@ -350,7 +355,9 @@ def test_height_pass_agrees_with_the_closed_forms(typ):
 
 
 @pytest.mark.parametrize(
-    "typ", table_types(24) + [SimpleType(f, n) for n in (40, 56, 64) for f in "ABCD"], ids=str
+    "typ",
+    table_types(24) + NONCANONICAL + [SimpleType(f, n) for n in (40, 56, 64) for f in "ABCD"],
+    ids=str,
 )
 def test_root_order_values_are_dot_products(typ):
     """_root_values gives a linear form on every root in root order, and
@@ -404,8 +411,8 @@ def test_weyl_dimensions_on_a_d_build_no_ancestry():
     assert positive_roots.cache_info().misses == 0
 
 
-# sha256 of repr(positive_roots(t)), taken from the string-probing builder
-# that the packed one replaced: the order and every tuple are pinned.
+# sha256 of repr(positive_roots(t)), taken from a builder that probed root
+# strings, before either of today's: the order and every tuple are pinned.
 FINGERPRINTS = json.loads((Path(__file__).parent / "roots_sha256.json").read_text())
 
 
@@ -526,6 +533,9 @@ def test_root_to_weight_simple_root_is_cartan_row():
     assert root_to_weight(E8, (0,) * 8) == (0,) * 8
     with pytest.raises(ValueError):
         root_to_weight(E8, (1, 0))
+    for bad in [(0.5, 1), ("1", 0), (Fraction(1), 0)]:
+        with pytest.raises(ValueError, match="root entry .* is not an integer"):
+            root_to_weight(SimpleType("A", 2), bad)
 
 
 def test_inverse_cartan_a1():
