@@ -22,13 +22,7 @@ from functools import cache
 
 from .grading import branch_adjoint, grade_adjoint, lowest_weight_of_v_alpha
 from .invariants import compute_d, compute_m, compute_r, full_report
-from .parabolic import (
-    closure_is_smooth,
-    dim_min_orbit,
-    levi_data,
-    orbit_type,
-    parabolic_of_weight,
-)
+from .parabolic import _support, closure_is_smooth, dim_min_orbit, levi_data, orbit_type
 from .repdim import dim_irrep, dual_weight
 from .rootsys import (
     MAX_QUOTED,
@@ -246,7 +240,7 @@ def _cmd_minorbit(typ, args):
         "weight": w,
         "primitive": primitive,
         "multiplier": multiplier,
-        "removed": parabolic_of_weight(typ, w).removed,
+        "removed": _support(primitive),
         "dim_orbit": dim_min_orbit(typ, w),
         "dim_module": dim_irrep(typ, w),
         "smooth": closure_is_smooth(typ, w),

@@ -11,9 +11,9 @@ against the bookkeeping identity dim g = dim [l, l] + #removed + 2 dim u.
 
 The orbit of a highest weight vector in the irreducible module V_lambda
 is a cone over G/P_lambda, where P_lambda removes exactly the support S
-of lambda, so its dimension is dim u(S) + 1.  closure_is_smooth multiplies
-the Weyl factors of u(S)'s roots only, the rest being 1; none is below 1,
-so it stops, exactly, once a partial product exceeds dim u(S) + 1.
+of lambda, so its dimension is dim u(S) + 1.  closure_is_smooth reads no
+root: the closure is smooth only when G is transitive on P(V_lambda), which
+names the few weights for which it is.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
 
-from .repdim import Weight, rho_pairings
+from .repdim import Weight
 from .rootsys import (
     Component,
     SimpleType,
@@ -32,7 +32,6 @@ from .rootsys import (
     dim_simple,
     root_columns,
     subdiagram_components,
-    symmetrizers,
 )
 
 
@@ -104,8 +103,8 @@ def _checked_nonzero_dominant(typ: SimpleType, weight: Iterable[int]) -> Weight:
     return w
 
 
-def _support(w: Weight) -> list[int]:
-    return [i + 1 for i, c in enumerate(w) if c]
+def _support(w: Weight) -> tuple[int, ...]:
+    return tuple(i + 1 for i, c in enumerate(w) if c)
 
 
 def parabolic_of_weight(typ: SimpleType, weight: Iterable[int]) -> LeviData:
@@ -132,22 +131,17 @@ def orbit_type(typ: SimpleType, weight: Iterable[int]) -> tuple[Weight, int]:
 def closure_is_smooth(typ: SimpleType, weight: Iterable[int]) -> bool:
     """Whether the orbit closure in V_lambda is smooth at the origin.
 
-    The closure is the cone over the projective orbit; it is smooth
-    exactly when it is all of V_lambda, i.e. dim V_lambda = dim u(S) + 1 for
-    S the support.  A root beta's Weyl factor is 1 + (sum over i in S of
-    c_i(beta) * lambda_i * d_i) / (rho, beta): 1 off u(S), never below 1.
-    So only u(S) is walked, and a partial product above dim u(S) + 1 is an
-    exact False.
+    The closure is the cone over the projective orbit G/P_lambda.  A cone
+    smooth at its vertex is its own tangent space there, a linear space, so
+    the closure is smooth exactly when it is all of V_lambda: when G is
+    transitive on P(V_lambda).  Among simple groups that holds only for the
+    natural module of SL_(n+1) or its dual and that of Sp_(2n), so lambda is
+    a fundamental weight at one of these nodes, under every name that
+    SimpleType accepts: 1 or n of A_n, 1 of C_n (C2 too), 2 of B2 (= C2),
+    and 2 or 3 of D3 (= A3).  The tests hold this to dim V_lambda = dim u(S)
+    + 1 for S the support.
     """
     w = _checked_nonzero_dominant(typ, weight)
-    d, cols, rho = symmetrizers(typ), root_columns(typ), rho_pairings(typ)
-    terms = [(cols[i], c * d[i]) for i, c in enumerate(w) if c]
-    union = _u_mask(typ, _support(w))
-    bound, in_u = union.bit_count() + 1, format(union, "b")[::-1]
-    num, den, k = 1, 1, -1
-    while (k := in_u.find("1", k + 1)) >= 0:
-        num *= rho[k] + sum(col[k] * t for col, t in terms)
-        den *= rho[k]
-        if num > bound * den:
-            return False
-    return num == bound * den
+    n = typ.rank
+    natural = {("A", n): (1, n), ("B", 2): (2,), ("C", n): (1,), ("D", 3): (2, 3)}
+    return sum(w) == 1 and w.index(1) + 1 in natural.get((typ.family, n), ())

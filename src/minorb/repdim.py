@@ -16,9 +16,6 @@ G, of rank at most 8, take one dot product per root.  The pairings are
 counted by value, the cached counts of the rho pairings (the denominator,
 independent of the weight) are subtracted, and only the surviving powers
 are multiplied.  The final division is checked to be exact.
-``rho_pairings``, which parabolic reads in root order, puts the A-D
-pairings in that order by looking each root's code up among the suffix
-sums of the simple roots' codes.
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ from collections.abc import Iterable
 from functools import lru_cache
 from math import prod
 
-from .rootsys import SimpleType, _root_values, _value_multiset, checked_weight, symmetrizers
+from .rootsys import SimpleType, _value_multiset, checked_weight, symmetrizers
 
 Weight = tuple[int, ...]
 
@@ -48,15 +45,8 @@ def dim_irrep(typ: SimpleType, weight: Iterable[int]) -> int:
 
 
 @lru_cache(maxsize=None)
-def rho_pairings(typ: SimpleType) -> tuple[int, ...]:
-    """(rho, beta) = sum_j c_j(beta) * d_j for every positive root beta, in root order."""
-    return tuple(_root_values(typ, symmetrizers(typ)))
-
-
-@lru_cache(maxsize=None)
 def _rho_counts(typ: SimpleType) -> Counter:
-    """How often each value of (rho, beta) occurs among the positive roots,
-    counted anew so that dim_irrep alone caches no per-root tuple."""
+    """How often each value of (rho, beta) occurs among the positive roots."""
     return Counter(_value_multiset(typ, symmetrizers(typ)))
 
 

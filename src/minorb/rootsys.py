@@ -15,10 +15,9 @@ of Dynkin subdiagrams.  Conventions fixed once, for every other module:
   whose root lists have no short closed form, derive theirs from the
   Cartan matrix height by height.  The tests hold the two builders to the
   same output on A-D.  A linear form on roots is additive, so on A-D the
-  same suffix sums of its simple-root values give its value on every root
-  (a Weyl pairing, say) with no root built; paired with the same suffix
-  sums of the codes, they give it in root order.  E, F and G take one dot
-  product per root.
+  same suffix sums of its simple-root values give its values on the roots
+  (a Weyl pairing, say), in no fixed order, with no root built.  E, F and
+  G take one dot product per root.
 * Each family's diagram is written once, as its edges and the root length
   ``d_i`` of each node: the symmetrizers, minimal positive integers making
   ``cartan * diag(d)`` symmetric.  A bond p - q has Cartan entries
@@ -246,24 +245,13 @@ def _classical_codes(typ: SimpleType) -> list[int]:
     return [code for bucket in buckets for code in sorted(bucket)]
 
 
-def _root_values(typ: SimpleType, simple: Sequence[int]) -> list[int]:
-    """A linear form on every positive root in root order, from its values
-    on the simple roots.  On A-D the two suffix forms, of the unit codes and
-    of the values, pair each code with its value, which is looked up along
-    the codes in root order.  E, F and G, with at most 120 roots of rank at
-    most 8, take one dot product per root."""
-    if typ.family in _RANK_MIN:
-        value = dict(zip(_suffix_form(typ, _units(typ.rank)), _suffix_form(typ, simple)))
-        return [value[code] for code in _classical_codes(typ)]
-    return [sum(map(mul, root, simple)) for root in positive_roots(typ)]
-
-
 def _value_multiset(typ: SimpleType, simple: Sequence[int]) -> list[int]:
-    """A linear form on every positive root, in no fixed order: the suffix
-    form itself for A-D, _root_values for E, F and G."""
+    """A linear form on every positive root, in no fixed order, from its
+    values on the simple roots: the suffix form itself for A-D; E, F and G,
+    with at most 120 roots of rank at most 8, take one dot product per root."""
     if typ.family in _RANK_MIN:
         return _suffix_form(typ, simple)
-    return _root_values(typ, simple)
+    return [sum(map(mul, root, simple)) for root in positive_roots(typ)]
 
 
 @lru_cache(maxsize=None)

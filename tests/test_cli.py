@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from minorb import MAX_RANK, MAX_WEIGHT_ENTRY, dim_irrep, parse_type
-from minorb.rootsys import MAX_QUOTED
+from minorb.rootsys import MAX_QUOTED, positive_roots, root_columns
+from minorb.parabolic import support_masks
 from minorb.cli import _COMMANDS, _build_parser, main
 
 
@@ -120,6 +121,15 @@ def test_minorbit_text(capsys):
     code, out, _ = run(capsys, "minorbit", "B2", "0,2")
     assert "primitive: (0,1)\nmultiplier: 2\n" in out
     assert out.endswith("smooth: no\n")
+
+
+def test_minorbit_builds_one_root_system(capsys):
+    """removed is the weight's support: no Levi component (D9 here) is built."""
+    for cache in (positive_roots, root_columns, support_masks):
+        cache.cache_clear()
+    code, out, _ = run(capsys, "minorbit", "D10", ",".join("1" + "0" * 9))
+    assert code == 0 and "removed: 1\n" in out
+    assert positive_roots.cache_info().misses == 1
 
 
 def test_invariants_text(capsys):

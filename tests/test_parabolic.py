@@ -236,8 +236,14 @@ def test_closure_smoothness(name, weight, expected):
     assert closure_is_smooth(parse_type(name), weight) is expected
 
 
-# D70's masks have 4,830 bits, above the default int/str digit limit
-SMOOTHNESS_TYPES = table_types(24) + [SimpleType(f, MAX_RANK) for f in "ABCD"] + [SimpleType("D", 70)]
+# C2 and D3 by their own names, which parse_type folds onto B2 and A3; D70's
+# masks have 4,830 bits, above the default int/str digit limit
+SMOOTHNESS_TYPES = (
+    table_types(24)
+    + [SimpleType("C", 2), SimpleType("D", 3)]
+    + [SimpleType(f, MAX_RANK) for f in "ABCD"]
+    + [SimpleType("D", 70)]
+)
 
 
 def smooth_by_weyl(typ, weight):

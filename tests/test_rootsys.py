@@ -33,7 +33,7 @@ from minorb import (
     table_types,
 )
 from minorb import rootsys
-from minorb.repdim import _rho_counts, rho_pairings
+from minorb.repdim import _rho_counts
 from util import ALL_TYPES, MID_TYPES, components_by_matrix, dim_closed_form, weight_by_matrix
 
 E6, E7, E8 = SimpleType("E", 6), SimpleType("E", 7), SimpleType("E", 8)
@@ -360,10 +360,9 @@ def test_height_pass_agrees_with_the_closed_forms(typ):
     ids=str,
 )
 def test_root_order_values_are_dot_products(typ):
-    """_root_values gives a linear form on every root in root order, and
-    _value_multiset the same values in any order; the reference takes each
-    root's dot product with the form, on rho and on seeded forms with
-    entries of either sign."""
+    """_value_multiset gives a linear form on every root, in any order; the
+    reference takes each root's dot product with the form, on rho and on
+    seeded forms with entries of either sign."""
     rng = random.Random(f"root values {typ}")
     forms = [symmetrizers(typ)] + [
         [rng.randint(-9, 9) for _ in range(typ.rank)] for _ in range(3)
@@ -371,7 +370,6 @@ def test_root_order_values_are_dot_products(typ):
     roots = positive_roots(typ)
     for simple in forms:
         dots = [sum(c * x for c, x in zip(beta, simple)) for beta in roots]
-        assert rootsys._root_values(typ, simple) == dots
         assert sorted(rootsys._value_multiset(typ, simple)) == sorted(dots)
 
 
@@ -383,9 +381,9 @@ def test_root_order_values_are_dot_products(typ):
 )
 def test_suffix_sums_give_the_ancestry_walk_values(typ):
     """A-D read a linear form's values off suffix sums; a walk down the
-    reference ancestry gives them in root order.  _root_values must give
-    the walk's list and _value_multiset its multiset, on rho and on seeded
-    forms with entries of either sign."""
+    reference ancestry gives them in root order.  _value_multiset must give
+    the walk's multiset, on rho and on seeded forms with entries of either
+    sign."""
     rng = random.Random(f"suffix {typ}")
     forms = [symmetrizers(typ)] + [
         [rng.randint(-9, 9) for _ in range(typ.rank)] for _ in range(3)
@@ -395,19 +393,18 @@ def test_suffix_sums_give_the_ancestry_walk_values(typ):
         walk: list[int] = []
         for p, i in zip(parent, node):
             walk.append((walk[p] if p >= 0 else 0) + simple[i])
-        assert rootsys._root_values(typ, simple) == walk
         assert sorted(rootsys._value_multiset(typ, simple)) == sorted(walk)
 
 
 def test_weyl_dimensions_on_a_d_build_no_ancestry():
-    """dim_irrep and rho_pairings on A-D from cold caches build neither an
+    """dim_irrep and _rho_counts on A-D from cold caches build neither an
     ancestry nor a root list: both read their pairings off suffix sums."""
     types = [SimpleType(f, n) for f in "ABCD" for n in (5, 17)]
-    for cache in (positive_roots, _rho_counts, rho_pairings):
+    for cache in (positive_roots, _rho_counts):
         cache.cache_clear()
     for typ in types:
         assert dim_irrep(typ, range(typ.rank)) > 1
-        assert min(rho_pairings(typ)) == 1  # on the short simple roots
+        assert min(_rho_counts(typ)) == 1  # on the short simple roots
     assert positive_roots.cache_info().misses == 0
 
 
