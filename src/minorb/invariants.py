@@ -79,8 +79,12 @@ class Witness(NamedTuple):
 
     @property
     def dim_h(self) -> int:
+        """dim of the reductive factors, plus dim u(S) when S is not empty:
+        an empty support adds nothing and reads no roots of the ambient."""
         dim = sum(_dim_factor(f) for f in self.factors)
-        return dim + dim_u(self.ambient, self.unipotent_support or ())
+        if self.unipotent_support:
+            dim += dim_u(self.ambient, self.unipotent_support)
+        return dim
 
     @property
     def codim(self) -> int:

@@ -14,10 +14,12 @@ of Dynkin subdiagrams.  Conventions fixed once, for every other module:
   differences and sums of suffix sums of the simple roots; E, F and G,
   whose root lists have no short closed form, derive theirs from the
   Cartan matrix height by height.  The tests hold the two builders to the
-  same output on A-D.  A linear form on roots is additive, so on A-D the
-  same suffix sums of its simple-root values give its values on the roots
-  (a Weyl pairing, say), in no fixed order, with no root built.  E, F and
-  G take one dot product per root.
+  same output on A-D.  A-D of one rank hold the same tuple objects for
+  the roots they have in common, the runs of ones: every segment on A, B
+  and C, and those that stop short of node n on D.  A linear form on
+  roots is additive, so on A-D the same suffix sums of its simple-root
+  values give its values on the roots (a Weyl pairing, say), in no fixed
+  order, with no root built.  E, F and G take one dot product per root.
 * Each family's diagram is written once, as its edges and the root length
   ``d_i`` of each node: the symmetrizers, minimal positive integers making
   ``cartan * diag(d)`` symmetric.  A bond p - q has Cartan entries
@@ -167,14 +169,32 @@ def positive_roots(typ: SimpleType) -> tuple[Vector, ...]:
     lexicographic order.  A byte is ample: no coefficient exceeds 6 (E8's
     highest root).  The builder is chosen by family, because a closed form
     for the roots belongs to a family: A-D have one each, valid at every
-    rank, and their root counts grow with the rank, so _classical_codes
+    rank, and their root counts grow with the rank, so _classical_order
     writes them down.  E, F and G are five fixed types with at most 120
     positive roots, which _height_pass derives from the Cartan matrix.
     Both give the roots by height and then by code; the tests run
     _height_pass on A-D too and check that the two agree.
+
+    A-D of one rank share the tuples of their run-of-ones roots,
+    _segment_roots(n): every one on A, B and C, the first n(n-1)/2 on D.
+    Only the family's own sums get new tuples, so a miss here counts the
+    roots returned (bench/spans.py's roots_built), not the tuples made.
     """
-    codes = _classical_codes(typ) if typ.family in _RANK_MIN else _height_pass(typ)
     n = typ.rank
+    if typ.family not in _RANK_MIN:
+        return tuple(tuple(code.to_bytes(n, "big")) for code in _height_pass(typ))
+    segments = _segment_roots(n)  # first: its build's codes are freed before this type's
+    codes, order = _classical_order(typ)
+    shared = n * (n - 1) // 2 if typ.family == "D" else len(segments)
+    roots = segments[:shared] + tuple(tuple(code.to_bytes(n, "big")) for code in codes[shared:])
+    return tuple(map(roots.__getitem__, order))
+
+
+@lru_cache(maxsize=None)
+def _segment_roots(n: int) -> tuple[Vector, ...]:
+    """The roots of rank n whose coefficients are one run of ones, as tuples
+    in _suffix_form's enumeration order: the segments, all of A_n's roots."""
+    codes = _suffix_form(SimpleType("A", n), _units(n))
     return tuple(tuple(code.to_bytes(n, "big")) for code in codes)
 
 
@@ -218,14 +238,17 @@ def _suffix_form(typ: SimpleType, simple: Sequence[int]) -> list[int]:
     Bourbaki's Plates I-IV (Lie Groups and Lie Algebras, Ch. VI): the
     segments suf[i] - suf[j], i < j <= n (j <= n - 1 for D), then for B, C,
     D the sums suf[i] - suf[m] + suf[j], with m = n, n - 1, n - 2 and j
-    from i + 1, i, i + 1 up to n - 1, n - 2, n - 1.  A form is additive, so
-    these are its values whatever it is: the codes on the unit codes, the
-    heights on all ones, a Weyl pairing on its simple-root values.
+    from i + 1, i, i + 1 up to n - 1, n - 2, n - 1.  The segments go
+    j-major (j = 1, 2, ..., and i = 0 .. j - 1 within each j), so D's are
+    the first n(n - 1)/2 of A's, B's and C's, which _segment_roots relies
+    on.  A form is additive, so these are its values whatever it is: the
+    codes on the unit codes, the heights on all ones, a Weyl pairing on its
+    simple-root values.
     """
     n, family = typ.rank, typ.family
     suf = list(accumulate(reversed(simple), initial=0))[::-1]
     last = n - 1 if family == "D" else n
-    out = [si - sj for i, si in enumerate(suf[:n]) for sj in suf[i + 1 : last + 1]]
+    out = [si - sj for j, sj in enumerate(suf[1 : last + 1], 1) for si in suf[:j]]
     if family != "A":
         first, last, m = {
             "B": (1, n - 1, n), "C": (0, n - 2, n - 1), "D": (1, n - 1, n - 2)
@@ -235,14 +258,18 @@ def _suffix_form(typ: SimpleType, simple: Sequence[int]) -> list[int]:
     return out
 
 
-def _classical_codes(typ: SimpleType) -> list[int]:
-    """Root codes of A-D by height and then by code, from _suffix_form:
-    bucketed by height and sorted within each bucket."""
+def _classical_order(typ: SimpleType) -> tuple[list[int], list[int]]:
+    """The root codes of A-D in _suffix_form's enumeration order, and the
+    permutation that puts them by height and then by code: their indices
+    bucketed by height and sorted by code within each bucket."""
     n = typ.rank
+    codes = _suffix_form(typ, _units(n))
     buckets: list[list[int]] = [[] for _ in range(2 * n)]
-    for height, code in zip(_suffix_form(typ, [1] * n), _suffix_form(typ, _units(n))):
-        buckets[height].append(code)
-    return [code for bucket in buckets for code in sorted(bucket)]
+    for k, height in enumerate(_suffix_form(typ, [1] * n)):
+        buckets[height].append(k)
+    for bucket in buckets:
+        bucket.sort(key=codes.__getitem__)
+    return codes, list(chain.from_iterable(buckets))
 
 
 def _value_multiset(typ: SimpleType, simple: Sequence[int]) -> list[int]:

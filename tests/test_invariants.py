@@ -38,6 +38,8 @@ from minorb import (
 )
 from minorb.cli import MAX_TABLE_RANK
 from minorb.invariants import _witness
+from minorb.parabolic import support_masks
+from minorb.rootsys import root_columns
 
 from util import (
     ALL_TYPES,
@@ -131,6 +133,18 @@ def test_r_table(typ):
     assert r == expected_r(typ)
     assert [str(f) for f in witness.factors] == expected_r_factors(typ)
     assert witness.dim_h + r == full_report(typ).dim
+
+
+def test_r_witness_reads_no_ambient_root_columns():
+    """r's witness has no unipotent part, so compute_r builds the root
+    lists behind dim_simple (D40 and its factor B39) and no root columns or
+    support masks of the ambient."""
+    for cache in (compute_r, positive_roots, root_columns, support_masks):
+        cache.cache_clear()
+    assert compute_r(SimpleType("D", 40)).witness.unipotent_support is None
+    assert support_masks.cache_info().misses == 0
+    assert root_columns.cache_info().misses == 0
+    assert positive_roots.cache_info().misses == 2
 
 
 @pytest.mark.parametrize("typ", [t for t in ALL_TYPES if t.family == "C"], ids=str)

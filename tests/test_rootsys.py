@@ -350,8 +350,10 @@ def test_root_ancestry_takes_the_lowest_down_node(typ):
 )
 def test_height_pass_agrees_with_the_closed_forms(typ):
     """A-D build their roots from closed forms, so the height pass that
-    serves E, F and G is held to the same codes here."""
-    assert rootsys._classical_codes(typ) == rootsys._height_pass(typ)
+    serves E, F and G is held to the same codes here, read back from the
+    root tuples."""
+    codes = [int.from_bytes(bytes(r), "big") for r in positive_roots(typ)]
+    assert codes == rootsys._height_pass(typ)
 
 
 @pytest.mark.parametrize(
@@ -422,6 +424,31 @@ def test_fingerprints_cover_the_inventory():
 def test_positive_roots_fingerprint(name):
     roots = positive_roots(SimpleType(name[0], int(name[1:])))
     assert sha256(repr(roots).encode()).hexdigest() == FINGERPRINTS[name]
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 17, 40])
+def test_a_d_of_one_rank_share_their_run_of_ones_tuples(n):
+    """From cold caches, A-D of rank n built in either order give their
+    pinned lists (C2 and D3, unpinned, give the same list in both orders),
+    and every run of ones on B, C and D is A's tuple itself: all n(n+1)/2
+    on B and C, the n(n-1)/2 that stop short of node n on D."""
+    types = [SimpleType(f, n) for f in "ABCD" if rootsys._is_type(f, n)]
+    first: dict[SimpleType, tuple] = {}
+    for order in (types, types[::-1]):
+        positive_roots.cache_clear()
+        rootsys._segment_roots.cache_clear()
+        lists = {typ: positive_roots(typ) for typ in order}
+        for typ, roots in lists.items():
+            if str(typ) in FINGERPRINTS:
+                assert sha256(repr(roots).encode()).hexdigest() == FINGERPRINTS[str(typ)]
+            else:
+                assert roots == first.setdefault(typ, roots)
+        segments = {r: r for r in lists[types[0]]}
+        for typ in types[1:]:
+            # D's runs of ones through node n are its own sums, and not shared
+            shared = [r for r in lists[typ] if r in segments and not (typ.family == "D" and r[-1])]
+            assert len(shared) == (n * (n - 1) // 2 if typ.family == "D" else n * (n + 1) // 2)
+            assert all(r is segments[r] for r in shared), typ
 
 
 # sha256 of repr(ancestry(t)), typecodes included, taken from the
