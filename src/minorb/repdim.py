@@ -8,24 +8,27 @@ is the symmetrizer, so the quotient is a ratio of two exact integer
 products.
 
 The pairing with lambda + rho is additive, with value (w_i + 1) * d_i on
-alpha_i, and rootsys gives it on every positive root.  On A-D each root is
-a difference of two suffix sums of the simple roots, or the sum of two
-less a third, so its pairing is the same combination of the suffix sums
-of those values: no loop over coordinates, and no root built.  E, F and
-G, of rank at most 8, take one dot product per root.  The pairings are
-counted by value, the cached counts of the rho pairings (the denominator,
-independent of the weight) are subtracted, and only the surviving powers
-are multiplied.  The final division is checked to be exact.
+alpha_i, and rootsys counts its values over the positive roots.  On A-D
+each root is a difference of two suffix sums of the simple roots, or the
+sum of two less a third, so the count of each pairing is a coefficient of
+a product of polynomials in x, sum x**suf[i] over the suffix sums of those
+values: with every power packed as a fixed-width digit of one int, each
+product is one integer multiplication, and no root is built or listed.
+That holds up to a cutoff, the simple values summing to at most rank**2,
+which keeps the ints within O(rank**2) digits; past it, and on E, F and G
+(rank at most 8), the pairings are listed and counted.  The cached counts
+of the rho pairings (the denominator, independent of the weight) are
+subtracted, and only the surviving powers are multiplied.  The final
+division is checked to be exact.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable
 from functools import lru_cache
 from math import prod
 
-from .rootsys import SimpleType, _value_multiset, checked_weight, symmetrizers
+from .rootsys import SimpleType, _value_counts, checked_weight, symmetrizers
 
 Weight = tuple[int, ...]
 
@@ -34,8 +37,9 @@ def dim_irrep(typ: SimpleType, weight: Iterable[int]) -> int:
     """Dimension of the irreducible module with the given highest weight."""
     w = checked_weight(typ, weight)
     d = symmetrizers(typ)
-    powers = Counter(_value_multiset(typ, [(c + 1) * dj for c, dj in zip(w, d)]))
-    powers.subtract(_rho_counts(typ))
+    powers = _value_counts(typ, [(c + 1) * dj for c, dj in zip(w, d)])
+    for v, e in _rho_counts(typ).items():
+        powers[v] = powers.get(v, 0) - e
     num = prod(v**e for v, e in powers.items() if e > 0)
     den = prod(v**-e for v, e in powers.items() if e < 0)
     q, r = divmod(num, den)
@@ -45,9 +49,9 @@ def dim_irrep(typ: SimpleType, weight: Iterable[int]) -> int:
 
 
 @lru_cache(maxsize=None)
-def _rho_counts(typ: SimpleType) -> Counter:
+def _rho_counts(typ: SimpleType) -> dict[int, int]:
     """How often each value of (rho, beta) occurs among the positive roots."""
-    return Counter(_value_multiset(typ, symmetrizers(typ)))
+    return _value_counts(typ, symmetrizers(typ))
 
 
 def dim_irrep_product(parts: Iterable[tuple[SimpleType, Iterable[int]]]) -> int:

@@ -16,10 +16,15 @@ of Dynkin subdiagrams.  Conventions fixed once, for every other module:
   Cartan matrix height by height.  The tests hold the two builders to the
   same output on A-D.  A-D of one rank hold the same tuple objects for
   the roots they have in common, the runs of ones: every segment on A, B
-  and C, and those that stop short of node n on D.  A linear form on
-  roots is additive, so on A-D the same suffix sums of its simple-root
-  values give its values on the roots (a Weyl pairing, say), in no fixed
-  order, with no root built.  E, F and G take one dot product per root.
+  and C, and on D every one but alpha_(n-1) + alpha_n, which is no root
+  of D.  A linear form on roots is additive, so on A-D the same suffix
+  sums of its simple-root values give its values on the roots (a Weyl
+  pairing, say), in no fixed order, with no root built.  The count of
+  each value is a polynomial coefficient, of sum x**suf[i] times its
+  reverse or of its square, and _value_counts reads the counts off one
+  integer product each, for a positive form whose simple values sum to
+  at most n**2; past that cutoff it counts the listed values.  E, F and G
+  take one dot product per root.
 * Each family's diagram is written once, as its edges and the root length
   ``d_i`` of each node: the symmetrizers, minimal positive integers making
   ``cartan * diag(d)`` symmetric.  A bond p - q has Cartan entries
@@ -33,6 +38,8 @@ of Dynkin subdiagrams.  Conventions fixed once, for every other module:
 from __future__ import annotations
 
 import re
+import sys
+from collections import Counter
 from functools import lru_cache
 from itertools import accumulate, chain, permutations
 from operator import add, index, mul
@@ -48,7 +55,8 @@ Matrix = tuple[Vector, ...]
 MAX_RANK = 64
 # Largest weight entry, in absolute value, that the command line accepts:
 # `minorb minorbit D64` with every entry at the ceiling prints a 36,289-digit
-# dimension in about 0.19 s, measured the same way.
+# dimension in about 0.11 s, measured the same way; its Weyl pairings are
+# past _value_counts' cutoff, so they are listed, not packed.
 MAX_WEIGHT_ENTRY = 10**9
 # Longest user text an error message quotes in full.
 MAX_QUOTED = 60
@@ -176,9 +184,11 @@ def positive_roots(typ: SimpleType) -> tuple[Vector, ...]:
     _height_pass on A-D too and check that the two agree.
 
     A-D of one rank share the tuples of their run-of-ones roots,
-    _segment_roots(n): every one on A, B and C, the first n(n-1)/2 on D.
-    Only the family's own sums get new tuples, so a miss here counts the
-    roots returned (bench/spans.py's roots_built), not the tuples made.
+    _segment_roots(n): every one on A, B and C; on D the first n(n-1)/2
+    and the n - 1 that end at node n, which are D's sums and take the
+    shared tuples by index.  Only the family's other sums keep new tuples,
+    so a miss here counts the roots returned (bench/spans.py's
+    roots_built), not the tuples made.
     """
     n = typ.rank
     if typ.family not in _RANK_MIN:
@@ -186,7 +196,16 @@ def positive_roots(typ: SimpleType) -> tuple[Vector, ...]:
     segments = _segment_roots(n)  # first: its build's codes are freed before this type's
     codes, order = _classical_order(typ)
     shared = n * (n - 1) // 2 if typ.family == "D" else len(segments)
-    roots = segments[:shared] + tuple(tuple(code.to_bytes(n, "big")) for code in codes[shared:])
+    roots = [*segments[:shared], *(tuple(code.to_bytes(n, "big")) for code in codes[shared:])]
+    if typ.family == "D":
+        # D's runs of ones through node n are its sums (i, j = n - 2) for
+        # i <= n - 3 and (n - 2, n - 1), alpha_n; A's (i, n) and (n - 1, n).
+        # The n - 1 tuples first made for them are dropped here.
+        start = shared  # sums block i holds j = i + 1, ..., n - 1
+        for i in range(n - 2):
+            roots[start + n - 3 - i] = segments[shared + i]
+            start += n - 1 - i
+        roots[start] = segments[-1]
     return tuple(map(roots.__getitem__, order))
 
 
@@ -245,17 +264,31 @@ def _suffix_form(typ: SimpleType, simple: Sequence[int]) -> list[int]:
     codes on the unit codes, the heights on all ones, a Weyl pairing on its
     simple-root values.
     """
-    n, family = typ.rank, typ.family
-    suf = list(accumulate(reversed(simple), initial=0))[::-1]
-    last = n - 1 if family == "D" else n
+    suf = _suffix_sums(simple)
+    last = _segment_end(typ)
     out = [si - sj for j, sj in enumerate(suf[1 : last + 1], 1) for si in suf[:j]]
-    if family != "A":
-        first, last, m = {
-            "B": (1, n - 1, n), "C": (0, n - 2, n - 1), "D": (1, n - 1, n - 2)
-        }[family]
-        bases = [si - suf[m] for si in suf[:n]]
+    if typ.family != "A":
+        first, last, m = _sum_bounds(typ)
+        bases = [si - suf[m] for si in suf[: typ.rank]]
         out += [b + sj for i, b in enumerate(bases) for sj in suf[i + first : last + 1]]
     return out
+
+
+def _suffix_sums(simple: Sequence[int]) -> list[int]:
+    """suf[i] = simple[i] + ... + simple[n - 1] for i = 0..n, suf[n] = 0."""
+    return list(accumulate(reversed(simple), initial=0))[::-1]
+
+
+def _segment_end(typ: SimpleType) -> int:
+    """The largest j of the segments suf[i] - suf[j] of an A-D type."""
+    return typ.rank - 1 if typ.family == "D" else typ.rank
+
+
+def _sum_bounds(typ: SimpleType) -> tuple[int, int, int]:
+    """(first, last, m) of the sums suf[i] - suf[m] + suf[j] of B, C or D,
+    j running from i + first to last."""
+    n = typ.rank
+    return {"B": (1, n - 1, n), "C": (0, n - 2, n - 1), "D": (1, n - 1, n - 2)}[typ.family]
 
 
 def _classical_order(typ: SimpleType) -> tuple[list[int], list[int]]:
@@ -279,6 +312,55 @@ def _value_multiset(typ: SimpleType, simple: Sequence[int]) -> list[int]:
     if typ.family in _RANK_MIN:
         return _suffix_form(typ, simple)
     return [sum(map(mul, root, simple)) for root in positive_roots(typ)]
+
+
+def _value_counts(typ: SimpleType, simple: Sequence[int]) -> dict[int, int]:
+    """How often each value of a linear form occurs among the positive roots,
+    as a new dict, from its values on the simple roots.
+
+    On A-D, for a positive form whose simple values sum to at most n**2 (the
+    cutoff), the counts are polynomial coefficients.  The suffix sums suf of
+    _suffix_form are then distinct.  With S = sum x**suf[i] over the
+    segments' indices, v occurs among the segments as often as x**(suf[0] +
+    v) in S(x) * x**suf[0] * S(1/x); with P the same sum over i <= last, it
+    occurs among the sums as often as x**(suf[m] + v) in (P(x)**2 -+
+    P(x**2)) / 2, minus for the pairs i < j of B and D, plus for the pairs
+    i <= j of C.  Each polynomial is packed into one int, a digit of `width`
+    bytes per power of x (Kronecker substitution), so each product is one
+    multiplication.  Per part, v takes each index i at most once, so no
+    digit exceeds 2n and none carries.  The cutoff bounds every packed int
+    by 2n**2 + 1 digits, of the order of the value list, whatever the
+    weight.  E, F and G, and every other form, count _value_multiset.
+    """
+    n = typ.rank
+    if typ.family not in _RANK_MIN or min(simple) <= 0 or sum(simple) > n * n:
+        return Counter(_value_multiset(typ, simple))
+    suf = _suffix_sums(simple)
+    top = suf[0]
+    width, code = next((w, c) for w, c in ((1, "B"), (2, "H"), (4, "I"), (8, "Q")) if 2 * n < 256**w)
+    seg = suf[: _segment_end(typ) + 1]
+    product = _packed(seg, width, top + 1) * _packed([top - s for s in seg], width, top + 1)
+    total = product >> 8 * width * (top + 1)  # digit k now counts the value k + 1
+    if typ.family != "A":
+        first, last, m = _sum_bounds(typ)
+        p = _packed(suf[: last + 1], width, top + 1)
+        doubled = _packed([2 * s for s in suf[: last + 1]], width, 2 * top + 1)
+        square = p * p - doubled if first else p * p + doubled
+        total += square >> (8 * width * (suf[m] + 1) + 1)  # every digit is even
+    data = total.to_bytes(width * (total.bit_length() // (8 * width) + 1), sys.byteorder)
+    digits = memoryview(data).cast(code)
+    if sys.byteorder == "big":
+        digits = digits[::-1]
+    return {v: c for v, c in enumerate(digits.tolist(), 1) if c}
+
+
+def _packed(exponents: Iterable[int], width: int, size: int) -> int:
+    """The polynomial sum of x**e over distinct exponents e < size as one int,
+    a little-endian digit of `width` bytes per power of x."""
+    buf = bytearray(width * size)
+    for e in exponents:
+        buf[width * e] = 1
+    return int.from_bytes(buf, "little")
 
 
 @lru_cache(maxsize=None)

@@ -1,12 +1,14 @@
 """Weyl dimension arithmetic against published tables and closed forms."""
 
 import math
+import tracemalloc
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from minorb import (
+    MAX_WEIGHT_ENTRY,
     SimpleType,
     dim_irrep,
     dim_irrep_product,
@@ -19,6 +21,7 @@ from minorb import (
     symmetrizers,
     table_types,
 )
+from minorb.repdim import _rho_counts
 
 from util import ALL_TYPES, MAX_MODULES_BELOW, SMALL_TYPES, modules_below, weyl_vector
 
@@ -164,6 +167,23 @@ def test_dimension_matches_plain_weyl_product(data):
     typ = data.draw(st.sampled_from(table_types(24)))
     w = data.draw(st.lists(st.integers(0, 3), min_size=typ.rank, max_size=typ.rank))
     assert dim_irrep(typ, w) == plain_weyl_product(typ, w)
+
+
+def test_dimension_at_the_weight_ceiling_stays_small():
+    """Every entry of a D64 weight at MAX_WEIGHT_ENTRY puts the form far past
+    _value_counts' cutoff, so the pairings are counted from their list, in
+    well under a few MB, not from polynomials of 10**11 digits.  The plain
+    Weyl product checks the dimension."""
+    typ, w = SimpleType("D", 64), (MAX_WEIGHT_ENTRY,) * 64
+    _rho_counts(typ)
+    tracemalloc.start()
+    try:
+        dim = dim_irrep(typ, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert dim == plain_weyl_product(typ, w)
 
 
 def test_product_dimensions():

@@ -8,6 +8,7 @@ dimensions, a local inversion over Fraction, and hand-enumerated small systems.
 import json
 import random
 from array import array
+from collections import Counter
 from fractions import Fraction
 from hashlib import sha256
 from itertools import permutations
@@ -364,7 +365,8 @@ def test_height_pass_agrees_with_the_closed_forms(typ):
 def test_root_order_values_are_dot_products(typ):
     """_value_multiset gives a linear form on every root, in any order; the
     reference takes each root's dot product with the form, on rho and on
-    seeded forms with entries of either sign."""
+    seeded forms with entries of either sign.  _value_counts counts the
+    same multiset, on rho and on seeded positive forms."""
     rng = random.Random(f"root values {typ}")
     forms = [symmetrizers(typ)] + [
         [rng.randint(-9, 9) for _ in range(typ.rank)] for _ in range(3)
@@ -373,6 +375,9 @@ def test_root_order_values_are_dot_products(typ):
     for simple in forms:
         dots = [sum(c * x for c, x in zip(beta, simple)) for beta in roots]
         assert sorted(rootsys._value_multiset(typ, simple)) == sorted(dots)
+    positive = [[rng.randint(1, 9) for _ in range(typ.rank)] for _ in range(2)]
+    for simple in forms[:1] + positive:
+        assert rootsys._value_counts(typ, simple) == Counter(rootsys._value_multiset(typ, simple))
 
 
 @pytest.mark.parametrize(
@@ -385,17 +390,57 @@ def test_suffix_sums_give_the_ancestry_walk_values(typ):
     """A-D read a linear form's values off suffix sums; a walk down the
     reference ancestry gives them in root order.  _value_multiset must give
     the walk's multiset, on rho and on seeded forms with entries of either
-    sign."""
+    sign or positive, and _value_counts must count it on rho and on the
+    positive forms."""
     rng = random.Random(f"suffix {typ}")
     forms = [symmetrizers(typ)] + [
         [rng.randint(-9, 9) for _ in range(typ.rank)] for _ in range(3)
     ]
+    forms += [[rng.randint(1, 9) for _ in range(typ.rank)] for _ in range(2)]
     parent, node = ancestry(typ)
-    for simple in forms:
+    for k, simple in enumerate(forms):
         walk: list[int] = []
         for p, i in zip(parent, node):
             walk.append((walk[p] if p >= 0 else 0) + simple[i])
         assert sorted(rootsys._value_multiset(typ, simple)) == sorted(walk)
+        if k == 0 or min(simple) > 0:  # rho and the positive forms
+            assert rootsys._value_counts(typ, simple) == Counter(rootsys._value_multiset(typ, simple))
+
+
+@pytest.mark.parametrize(
+    "typ",
+    [t for t in table_types(24) if t.family in "ABCD"]
+    + NONCANONICAL
+    + [SimpleType(f, n) for n in (40, 56, 64, 128) for f in "ABCD"],
+    ids=str,
+)
+def test_value_counts_cutoff(typ, monkeypatch):
+    """On A-D, _value_counts multiplies packed polynomials for a positive
+    form whose simple values sum to at most rank**2, and counts
+    _value_multiset above that.  A seeded form summing to exactly rank**2
+    must take the first route and one more the second (each route's
+    helper is made to fail on the other's call), and both must give the
+    counts of _value_multiset.  Rank 128 packs two bytes per digit."""
+    n = typ.rank
+    rng = random.Random(f"cutoff {typ}")
+    at = [n] * n
+    for _ in range(n):  # move weight between nodes, keeping the sum n**2
+        i, j = rng.randrange(n), rng.randrange(n)
+        step = rng.randrange(at[i])
+        at[i] -= step
+        at[j] += step
+    assert sum(at) == n * n and min(at) > 0
+    above = at[:-1] + [at[-1] + 1]
+    expected = [Counter(rootsys._value_multiset(typ, form)) for form in (at, above)]
+
+    def refuse(*args):
+        raise AssertionError("wrong side of the cutoff")
+
+    with monkeypatch.context() as m:
+        m.setattr(rootsys, "_value_multiset", refuse)
+        assert rootsys._value_counts(typ, at) == expected[0]
+    monkeypatch.setattr(rootsys, "_packed", refuse)
+    assert rootsys._value_counts(typ, above) == expected[1]
 
 
 def test_weyl_dimensions_on_a_d_build_no_ancestry():
@@ -431,7 +476,8 @@ def test_a_d_of_one_rank_share_their_run_of_ones_tuples(n):
     """From cold caches, A-D of rank n built in either order give their
     pinned lists (C2 and D3, unpinned, give the same list in both orders),
     and every run of ones on B, C and D is A's tuple itself: all n(n+1)/2
-    on B and C, the n(n-1)/2 that stop short of node n on D."""
+    on B and C, and on D the n(n-1)/2 that stop short of node n and the
+    n - 1 that end there."""
     types = [SimpleType(f, n) for f in "ABCD" if rootsys._is_type(f, n)]
     first: dict[SimpleType, tuple] = {}
     for order in (types, types[::-1]):
@@ -445,9 +491,8 @@ def test_a_d_of_one_rank_share_their_run_of_ones_tuples(n):
                 assert roots == first.setdefault(typ, roots)
         segments = {r: r for r in lists[types[0]]}
         for typ in types[1:]:
-            # D's runs of ones through node n are its own sums, and not shared
-            shared = [r for r in lists[typ] if r in segments and not (typ.family == "D" and r[-1])]
-            assert len(shared) == (n * (n - 1) // 2 if typ.family == "D" else n * (n + 1) // 2)
+            shared = [r for r in lists[typ] if r in segments]
+            assert len(shared) == (n * (n - 1) // 2 + n - 1 if typ.family == "D" else n * (n + 1) // 2)
             assert all(r is segments[r] for r in shared), typ
 
 
