@@ -10,21 +10,22 @@ of Dynkin subdiagrams.  Conventions fixed once, for every other module:
 * Roots and weights are plain integer tuples; a root is written in the
   simple-root basis, a weight in the fundamental-weight basis.
 * Positive roots are listed by height and then lexicographically.  A-D
-  write theirs down from the closed forms of Bourbaki's Plates I-IV, as
-  differences and sums of suffix sums of the simple roots; E, F and G,
-  whose root lists have no short closed form, derive theirs from the
-  Cartan matrix height by height.  The tests hold the two builders to the
-  same output on A-D.  A-D of one rank hold the same tuple objects for
-  the roots they have in common, the runs of ones: every segment on A, B
-  and C, and on D every one but alpha_(n-1) + alpha_n, which is no root
-  of D.  A linear form on roots is additive, so on A-D the same suffix
-  sums of its simple-root values give its values on the roots (a Weyl
-  pairing, say), in no fixed order, with no root built.  The count of
-  each value is a polynomial coefficient, of sum x**suf[i] times its
-  reverse or of its square, and _value_counts reads the counts off one
-  integer product each, for a positive form whose simple values sum to
-  at most n**2; past that cutoff it counts the listed values.  E, F and G
-  take one dot product per root.
+  write theirs down in that order from the closed forms of Bourbaki's
+  Plates I-IV, each root a slice of a pattern tuple: within one height the
+  later the first nonzero node, the earlier the root, so nothing is
+  sorted.  E, F and G, whose root lists have no short closed form, derive
+  theirs from the Cartan matrix height by height.  The tests hold the two
+  builders to the same output on A-D.  A-D of one rank hold the same
+  tuple objects for the roots they have in common, the runs of ones:
+  every one on A, B and C, and on D every one but alpha_(n-1) + alpha_n,
+  which is no root of D.  A linear form on roots is additive, so on A-D
+  the suffix sums suf of its simple-root values give its values on the
+  roots (a Weyl pairing, say), as their differences and sums, in no fixed
+  order, with no root built.  The count of each value is a polynomial
+  coefficient, of sum x**suf[i] times its reverse or of its square, and
+  _value_counts reads the counts off one integer product each, for a
+  positive form whose simple values sum to at most n**2; past that cutoff
+  it counts the listed values.  E, F and G take one dot product per root.
 * Each family's diagram is written once, as its edges and the root length
   ``d_i`` of each node: the symmetrizers, minimal positive integers making
   ``cartan * diag(d)`` symmetric.  A bond p - q has Cartan entries
@@ -48,10 +49,10 @@ from typing import Iterable, NamedTuple, Sequence
 Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]
 
-# Largest rank parse_type accepts: `minorb invariants D64 --json` takes about
-# 0.17 s (median of nine cold processes, 2-vCPU VM, Python 3.11.7; the VM's
-# speed drifts by up to 2x).  SimpleType itself is unbounded, so library
-# callers may go higher.
+# Largest rank parse_type accepts: `minorb invariants D64 --json` takes
+# 0.09-0.13 s (medians of two sets of nine cold processes, 2-vCPU VM, Python
+# 3.11.7; the VM's speed drifts by up to 2x).  SimpleType itself is
+# unbounded, so library callers may go higher.
 MAX_RANK = 64
 # Largest weight entry, in absolute value, that the command line accepts:
 # `minorb minorbit D64` with every entry at the ceiling prints a 36,289-digit
@@ -172,49 +173,61 @@ def symmetrizers(typ: SimpleType) -> Vector:
 def positive_roots(typ: SimpleType) -> tuple[Vector, ...]:
     """All positive roots, by height then lexicographically.
 
-    A root is built as one int, a byte per node with node 1 most
-    significant, so beta + alpha_i is one addition and integer order is
-    lexicographic order.  A byte is ample: no coefficient exceeds 6 (E8's
-    highest root).  The builder is chosen by family, because a closed form
-    for the roots belongs to a family: A-D have one each, valid at every
-    rank, and their root counts grow with the rank, so _classical_order
-    writes them down.  E, F and G are five fixed types with at most 120
-    positive roots, which _height_pass derives from the Cartan matrix.
-    Both give the roots by height and then by code; the tests run
-    _height_pass on A-D too and check that the two agree.
-
-    A-D of one rank share the tuples of their run-of-ones roots,
-    _segment_roots(n): every one on A, B and C; on D the first n(n-1)/2
-    and the n - 1 that end at node n, which are D's sums and take the
-    shared tuples by index.  Only the family's other sums keep new tuples,
-    so a miss here counts the roots returned (bench/spans.py's
+    A closed form for the roots belongs to a family, so the builder is
+    chosen by family.  E, F and G, five fixed types with at most 120 roots,
+    take _height_pass from the Cartan matrix; the tests hold it to the same
+    output on A-D.  A-D write theirs down in root order, each root a slice
+    of a pattern tuple: within one height, the later the first nonzero
+    node, the earlier the root.  A_n's roots are _segment_roots(n), the runs
+    of ones.  B, C and D add Bourbaki's sums (Plates II-IV): s zeros, L
+    ones (L >= 1, or >= 0 on C), at least one 2, then a tail, empty on B,
+    (1,) on C and (1, 1) on D.  At each height the sums start later than
+    the runs of ones, so they come first, by start descending, then A's
+    block of that height.  D has no alpha_(n-1) + alpha_n, and puts each
+    fork root, ones on [n - 1 - h, n - 2) plus node n, just before the run
+    of ones with its start.  So A-D of one rank share their run-of-ones
+    tuples, and a miss here counts the roots returned (bench/spans.py's
     roots_built), not the tuples made.
     """
     n = typ.rank
     if typ.family not in _RANK_MIN:
         return tuple(tuple(code.to_bytes(n, "big")) for code in _height_pass(typ))
-    segments = _segment_roots(n)  # first: its build's codes are freed before this type's
-    codes, order = _classical_order(typ)
-    shared = n * (n - 1) // 2 if typ.family == "D" else len(segments)
-    roots = [*segments[:shared], *(tuple(code.to_bytes(n, "big")) for code in codes[shared:])]
-    if typ.family == "D":
-        # D's runs of ones through node n are its sums (i, j = n - 2) for
-        # i <= n - 3 and (n - 2, n - 1), alpha_n; A's (i, n) and (n - 1, n).
-        # The n - 1 tuples first made for them are dropped here.
-        start = shared  # sums block i holds j = i + 1, ..., n - 1
-        for i in range(n - 2):
-            roots[start + n - 3 - i] = segments[shared + i]
-            start += n - 1 - i
-        roots[start] = segments[-1]
-    return tuple(map(roots.__getitem__, order))
+    segments = _segment_roots(n)
+    if typ.family == "A":
+        return segments
+    tail, least = {"B": ((), 1), "C": ((1,), 0), "D": ((1, 1), 1)}[typ.family]
+    k = len(tail)
+    top = 2 * n - k - least  # a sum's height is 2(n - s) - L - k, so L >= least iff 2s <= top - h
+    pats = [(0,) * n + (1,) * ones + (2,) * n for ones in range(n)]
+    fork = (0,) * (n - 2) + (1,) * (n - 2)
+    roots: list[Vector] = []
+    start = 0
+    for h in range(1, top + 1):
+        for s in range((top - h) // 2, max(n - h, -1), -1):
+            roots.append(pats[2 * (n - s) - h - k][n - s : 2 * n - k - s] + tail)
+        size = max(n + 1 - h, 0)
+        block = segments[start : start + size]
+        start += size
+        if typ.family == "D" and h > 1:
+            if h > 2:
+                roots += block[:1]
+            if h < n:
+                roots.append(fork[h - 1 : n + h - 3] + (0, 1))
+            block = block[1:]
+        roots += block
+    return tuple(roots)
 
 
 @lru_cache(maxsize=None)
 def _segment_roots(n: int) -> tuple[Vector, ...]:
-    """The roots of rank n whose coefficients are one run of ones, as tuples
-    in _suffix_form's enumeration order: the segments, all of A_n's roots."""
-    codes = _suffix_form(SimpleType("A", n), _units(n))
-    return tuple(tuple(code.to_bytes(n, "big")) for code in codes)
+    """A_n's positive roots in root order, the runs of ones of rank n: by
+    height h, then by start s from n - h down to 0, each a slice of one
+    pattern per height."""
+    roots: list[Vector] = []
+    for h in range(1, n + 1):
+        pat = (0,) * n + (1,) * h + (0,) * n
+        roots += [pat[n - s : 2 * n - s] for s in range(n - h, -1, -1)]
+    return tuple(roots)
 
 
 def _height_pass(typ: SimpleType) -> list[int]:
@@ -244,7 +257,8 @@ def _height_pass(typ: SimpleType) -> list[int]:
 
 
 def _units(n: int) -> list[int]:
-    """The codes of the n simple roots: a byte per node, node 1 most significant."""
+    """The codes of the n simple roots: a byte per node, node 1 most
+    significant, ample as no coefficient exceeds 6 (E8's highest root)."""
     return [1 << 8 * (n - 1 - i) for i in range(n)]
 
 
@@ -258,10 +272,9 @@ def _suffix_form(typ: SimpleType, simple: Sequence[int]) -> list[int]:
     segments suf[i] - suf[j], i < j <= n (j <= n - 1 for D), then for B, C,
     D the sums suf[i] - suf[m] + suf[j], with m = n, n - 1, n - 2 and j
     from i + 1, i, i + 1 up to n - 1, n - 2, n - 1.  The segments go
-    j-major (j = 1, 2, ..., and i = 0 .. j - 1 within each j), so D's are
-    the first n(n - 1)/2 of A's, B's and C's, which _segment_roots relies
-    on.  A form is additive, so these are its values whatever it is: the
-    codes on the unit codes, the heights on all ones, a Weyl pairing on its
+    j-major (j = 1, 2, ..., and i = 0 .. j - 1 within each j); no caller
+    relies on the order.  A form is additive, so these are its values
+    whatever it is: the heights on all ones, a Weyl pairing on its
     simple-root values.
     """
     suf = _suffix_sums(simple)
@@ -289,20 +302,6 @@ def _sum_bounds(typ: SimpleType) -> tuple[int, int, int]:
     j running from i + first to last."""
     n = typ.rank
     return {"B": (1, n - 1, n), "C": (0, n - 2, n - 1), "D": (1, n - 1, n - 2)}[typ.family]
-
-
-def _classical_order(typ: SimpleType) -> tuple[list[int], list[int]]:
-    """The root codes of A-D in _suffix_form's enumeration order, and the
-    permutation that puts them by height and then by code: their indices
-    bucketed by height and sorted by code within each bucket."""
-    n = typ.rank
-    codes = _suffix_form(typ, _units(n))
-    buckets: list[list[int]] = [[] for _ in range(2 * n)]
-    for k, height in enumerate(_suffix_form(typ, [1] * n)):
-        buckets[height].append(k)
-    for bucket in buckets:
-        bucket.sort(key=codes.__getitem__)
-    return codes, list(chain.from_iterable(buckets))
 
 
 def _value_multiset(typ: SimpleType, simple: Sequence[int]) -> list[int]:

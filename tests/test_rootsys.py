@@ -307,6 +307,29 @@ def test_root_core_at_the_rank_ceiling(family):
     assert roots[-1] == HIGHEST_ROOT[family](n)
 
 
+@pytest.mark.parametrize(
+    "typ",
+    [t for t in table_types(24) if t.family in "ABCD"]
+    + NONCANONICAL
+    + [SimpleType(f, n) for n in (40, 56, 64) for f in "ABCD"],
+    ids=str,
+)
+def test_a_d_roots_come_in_root_order_from_one_build(typ):
+    """A-D write their roots down in root order, with no codes and no sort:
+    consecutive roots must strictly ascend by (height, root), compared as
+    tuples.  From cold caches A_n's list is _segment_roots(n) itself, and
+    any one type makes one positive_roots miss, its own: B, C and D read
+    A's runs of ones from the private cache, not through positive_roots."""
+    positive_roots.cache_clear()
+    rootsys._segment_roots.cache_clear()
+    roots = positive_roots(typ)
+    assert positive_roots.cache_info().misses == 1
+    if typ.family == "A":
+        assert roots is rootsys._segment_roots(typ.rank)
+    keys = [(sum(r), r) for r in roots]
+    assert all(x < y for x, y in zip(keys, keys[1:]))
+
+
 def ancestry(typ):
     """One step down from every root of positive_roots(typ), as two flat
     index arrays: node[k] is the lowest node i with beta - alpha_i a root or
