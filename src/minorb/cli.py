@@ -12,20 +12,17 @@ note on stderr.  Bad input exits with status 2.
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
 from collections import Counter
-from contextlib import contextmanager
-from functools import cache
+from contextlib import contextmanager, suppress
 
 from .grading import branch_adjoint, grade_adjoint, lowest_weight_of_v_alpha
 from .invariants import compute_d, compute_m, compute_r, full_report
 from .parabolic import _support, closure_is_smooth, dim_min_orbit, levi_data, orbit_type
 from .repdim import dim_irrep, dual_weight
 from .rootsys import (
-    MAX_QUOTED,
     MAX_RANK,
     MAX_WEIGHT_ENTRY,
     SimpleType,
@@ -144,19 +141,19 @@ def _cmd_roots(typ, args):
 
 
 def _cmd_dim(typ, args):
-    w = _ints(args.weight, "weight", MAX_WEIGHT_ENTRY)
+    w = _ints(args["weight"], "weight", MAX_WEIGHT_ENTRY)
     value = dim_irrep(typ, w)
     return {"weight": w, "dim": value}, str(value)
 
 
 def _cmd_dual(typ, args):
-    w = _ints(args.weight, "weight", MAX_WEIGHT_ENTRY)
+    w = _ints(args["weight"], "weight", MAX_WEIGHT_ENTRY)
     dual = dual_weight(typ, w)
     return {"weight": w, "dual": dual}, ",".join(str(c) for c in dual)
 
 
 def _cmd_levi(typ, args):
-    data = levi_data(typ, _ints(args.nodes, "node set", MAX_RANK))
+    data = levi_data(typ, _ints(args["nodes"], "node set", MAX_RANK))
     entries, names = _components(data.components)
     payload = {
         "removed": data.removed,
@@ -180,11 +177,11 @@ def _cmd_levi(typ, args):
 
 
 def _cmd_grade(typ, args):
-    node = _int(args.node, "node", -MAX_RANK, MAX_RANK)
+    node = _int(args["node"], "node", -MAX_RANK, MAX_RANK)
     rep = grade_adjoint(typ, node)
     key, value, dims = "max_grade", rep.max_grade, rep.dims
-    if args.mod is not None:
-        mod = _int(args.mod, "--mod", 1, MAX_WEIGHT_ENTRY)
+    if "--mod" in args:
+        mod = _int(args["--mod"], "--mod", 1, MAX_WEIGHT_ENTRY)
         folded = Counter()
         for g, d in rep.dims.items():
             folded[g % mod] += d
@@ -195,7 +192,7 @@ def _cmd_grade(typ, args):
 
 
 def _cmd_branch(typ, args):
-    node = _int(args.node, "node", -MAX_RANK, MAX_RANK)
+    node = _int(args["node"], "node", -MAX_RANK, MAX_RANK)
     rep = branch_adjoint(typ, node)
     grades = [
         {"grade": k, "summands": [s._asdict() for s in rep.grades[k]]}
@@ -213,7 +210,7 @@ def _cmd_branch(typ, args):
 
 
 def _cmd_valpha(typ, args):
-    node = _int(args.node, "node", -MAX_RANK, MAX_RANK)
+    node = _int(args["node"], "node", -MAX_RANK, MAX_RANK)
     data = lowest_weight_of_v_alpha(typ, node)
     entries, names = _components(data.levi.components)
     payload = {
@@ -234,7 +231,7 @@ def _cmd_valpha(typ, args):
 
 
 def _cmd_minorbit(typ, args):
-    w = _ints(args.weight, "weight", MAX_WEIGHT_ENTRY)
+    w = _ints(args["weight"], "weight", MAX_WEIGHT_ENTRY)
     primitive, multiplier = orbit_type(typ, w)
     payload = {
         "weight": w,
@@ -319,9 +316,7 @@ _TABLE_NOTES = {
         "# A_n (n>3): 2n via A_{n-1} x T1; B_n (n>2): 2n via D_n;"
         " C_n (n>2): 4n-4 via C_{n-1} x A1; D_n (n>4): 2n-1 via B_{n-1}",
     ],
-    5: [
-        "# d = r except E7: 45 via B5 . U(1) and E8: 86 via E6 . U(7,8)",
-    ],
+    5: ["# d = r except E7: 45 via B5 . U(1) and E8: 86 via E6 . U(7,8)"],
 }
 
 
@@ -350,8 +345,8 @@ def _table_row(number: int, typ: SimpleType) -> dict:
 
 
 def _cmd_table(typ, args):
-    number = _int(args.number, "table number", 2, 5)
-    max_rank = _int(args.max_rank, "--max-rank", 1, MAX_TABLE_RANK)
+    number = _int(args["{2,3,4,5}"], "table number", 2, 5)
+    max_rank = _int(args.get("--max-rank", "12"), "--max-rank", 1, MAX_TABLE_RANK)
     rows = [{"type": str(t), **_table_row(number, t)} for t in table_types(max_rank)]
     notes = _TABLE_NOTES[number]
     lines = [_TABLE_HEADERS[number]]
@@ -359,149 +354,154 @@ def _cmd_table(typ, args):
         "\t".join(_fmt_nodes(v) if isinstance(v, tuple) else str(v) for v in r.values())
         for r in rows
     ]
-    payload = {
-        "table": number,
-        "max_rank": max_rank,
-        "rows": rows,
-        "notes": notes,
-    }
+    payload = {"table": number, "max_rank": max_rank, "rows": rows, "notes": notes}
     return payload, "\n".join(lines + notes)
 
 
-# name -> (handler, its --help line, {argument: add_argument options}), in help order
+# name -> (handler, its --help line, {argument: its help}), in help order.  An
+# argument "--x X" is an option that takes a value X.  Every command also takes
+# -h/--help and --json; handlers get the values keyed by name, "--x" for "--x X".
 _COMMANDS = {
-    "cartan": (_cmd_cartan, "Cartan matrix of a simple type", {"type": {}}),
-    "icartan": (_cmd_icartan, "inverse Cartan matrix scaled by its determinant", {"type": {}}),
-    "roots": (_cmd_roots, "positive roots in simple-root coordinates", {"type": {}}),
+    "cartan": (_cmd_cartan, "Cartan matrix of a simple type", {"type": ""}),
+    "icartan": (_cmd_icartan, "inverse Cartan matrix scaled by its determinant", {"type": ""}),
+    "roots": (_cmd_roots, "positive roots in simple-root coordinates", {"type": ""}),
     "dim": (_cmd_dim, "dimension of the irreducible module of a highest weight",
-            {"type": {}, "weight": {"help": "comma-separated coordinates, e.g. 1,0,2"}}),
-    "dual": (_cmd_dual, "highest weight of the dual module", {"type": {}, "weight": {}}),
+            {"type": "", "weight": "comma-separated coordinates, e.g. 1,0,2"}),
+    "dual": (_cmd_dual, "highest weight of the dual module", {"type": "", "weight": ""}),
     "levi": (_cmd_levi, "Levi decomposition of the parabolic removing a node set",
-             {"type": {}, "nodes": {"help": "comma-separated nodes, e.g. 7,8"}}),
+             {"type": "", "nodes": "comma-separated nodes, e.g. 7,8"}),
     "grade": (_cmd_grade, "adjoint grading by the coefficient of one simple root",
-              {"type": {}, "node": {}, "--mod": {"help": "fold grades modulo this period"}}),
+              {"type": "", "node": "", "--mod MOD": "fold grades modulo this period"}),
     "branch": (_cmd_branch, "irreducible summands of each nonnegative grade",
-               {"type": {}, "node": {}}),
-    "valpha": (_cmd_valpha, "the grade-one module V(alpha) at a node", {"type": {}, "node": {}}),
+               {"type": "", "node": ""}),
+    "valpha": (_cmd_valpha, "the grade-one module V(alpha) at a node", {"type": "", "node": ""}),
     "minorbit": (_cmd_minorbit, "highest weight orbit data for a dominant weight",
-                 {"type": {}, "weight": {}}),
-    "invariants": (_cmd_invariants, "the m, r, d invariants with witnesses", {"type": {}}),
+                 {"type": "", "weight": ""}),
+    "invariants": (_cmd_invariants, "the m, r, d invariants with witnesses", {"type": ""}),
     "table": (_cmd_table, "reproduce a published summary table",
-              {"number": {"metavar": "{2,3,4,5}"}, "--max-rank": {
-                  "default": "12",
-                  "help": f"largest classical rank (default 12, at most {MAX_TABLE_RANK})"}}),
+              {"{2,3,4,5}": "", "--max-rank MAX_RANK":
+               f"largest classical rank (default 12, at most {MAX_TABLE_RANK})"}),
 }
 
 
-def _invalid_choice(value: str, choices) -> str:
-    """argparse's invalid-choice message in its 3.10-3.12 words: 3.13.13 lists
-    the choices unquoted."""
-    return f"invalid choice: {value!r} (choose from {', '.join(map(repr, choices))})"
+def _option(arg: str, options) -> str | None:
+    """The option of options that arg names, "" for an unknown one, or None
+    for an argument: "-", a minus and a digit, or a space in no option's
+    name.  -h... names --help, and a long option may be cut to a prefix."""
+    if arg[:1] != "-" or arg == "-" or arg[1:2].isdecimal():
+        return None
+    name = "--h" if arg[1] == "h" else arg.partition("=")[0]
+    found = [o for o in options if len(name) > 2 and o.startswith(name)]
+    return found[0] if found else None if " " in arg else ""
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse that raises its errors as ValueError for main; two keep their 3.10-3.12 words,
-    and an unknown option is named before a missing argument."""
+def _parse(argv: list[str]) -> tuple[str, dict]:
+    """The command that argv names and its values, keyed as in _COMMANDS.
 
-    def error(self, message):
-        raise ValueError(message)
-
-    def parse_known_args(self, args=None, namespace=None):
-        # argparse reports missing arguments before unknown options, so `dim A2
-        # -x` would say that weight is required: when the same parse with
-        # nothing required goes through and leaves arguments over, name those.
-        try:
-            return super().parse_known_args(args, namespace)
-        except ValueError as err:
-            required = [action for action in self._actions if action.required]
-            for action in required:
-                action.required = False
-            try:
-                extras = super().parse_known_args(args, namespace)[1]
-            except ValueError:
-                extras = []
-            finally:
-                for action in required:
-                    action.required = True
-            if extras:
-                raise ValueError(f"unrecognized arguments: {' '.join(extras)}") from None
-            raise err
-
-    def _check_value(self, action, value):
-        if action.choices is not None and value not in action.choices:
-            raise argparse.ArgumentError(action, _invalid_choice(value, action.choices))
-
-    def _parse_optional(self, arg_string):  # -hX: 3.13 would take -h and print the help
-        if re.match(r"-\d", arg_string):  # a list such as -1,2 or -0_1 is an argument
-            return None
-        if re.match(r"-h+[^-=h]", arg_string):  # -X is no option: refuse X as 3.10-3.12 do
-            message = f"ignored explicit argument {clipped(arg_string[2:].lstrip('h'))!r}"
-            raise argparse.ArgumentError(self._option_string_actions["-h"], message)
-        return super()._parse_optional(arg_string)
-
-
-def _clip_arguments(message: str, argv: list[str]) -> str:
-    """message with each argument longer than MAX_QUOTED cut by clipped, found raw
-    or as its repr body; the VALUE of --opt=VALUE or -oVALUE counts as one too."""
-    texts = [arg for arg in argv if len(arg) > MAX_QUOTED]
-    texts += [v for arg in texts if arg[0] == "-" for v in (arg.partition("=")[2], arg[2:])]
-    for text in sorted(texts, key=len, reverse=True):  # an argument before its value
-        for form in (repr(text)[1:-1], text):  # the escaped form may contain the raw
-            message = message.replace(form, clipped(form))
-    return message
+    The first -- ends the options: minorb's before the command, the
+    command's after it.  -h, -hh... and --help print the help; -hX, --json=X
+    are refused.  A value option takes =VALUE or the next argument, if no
+    option.  Help, an unknown command and a bad option value stop at once,
+    left to right; then come unrecognized arguments, then missing ones.
+    Every message is clipped already."""
+    command, values, extras, ended = None, {}, [], False
+    waiting, options, args = ["command"], ["--help"], iter(argv)
+    for arg in args:
+        name = None if ended else _option(arg, options)
+        if arg == "--" and not ended:
+            ended = True
+        elif name == "" or name is None and command is not None and not waiting:
+            extras.append(arg)
+        elif name is None and command is None:
+            if arg not in _COMMANDS:
+                choices = f"(choose from {', '.join(map(repr, _COMMANDS))})"
+                raise ValueError(f"argument command: invalid choice: {clipped(arg)!r} {choices}")
+            command, ended, arguments = arg, False, _COMMANDS[arg][2]
+            options += ["--json", *(a.split()[0] for a in arguments if a[0] == "-")]
+            waiting = [a for a in arguments if a[0] != "-"]
+        elif name is None:
+            values[waiting.pop(0)] = arg
+        else:  # -hX reads as -h, then -X, and no -X exists
+            short = arg[1] == "h"
+            explicit = arg.rstrip("h") != "-" if short else "=" in arg
+            value = arg[2:].lstrip("h").removeprefix("=") if short else arg.partition("=")[2]
+            if explicit and name in ("--help", "--json"):
+                shown = "-h/--help" if name == "--help" else name
+                raise ValueError(f"argument {shown}: ignored explicit argument {clipped(value)!r}")
+            if name == "--help":
+                _help(command)
+            if not explicit and name != "--json":
+                value = next(args, "--")
+                if _option(value, options) is not None:
+                    raise ValueError(f"argument {name}: expected one argument")
+            values[name] = value
+    if extras:
+        raise ValueError(f"unrecognized arguments: {' '.join(map(clipped, extras))}")
+    if waiting:
+        raise ValueError(f"the following arguments are required: {', '.join(waiting)}")
+    return command, values
 
 
-@cache
-def _build_parser(names: tuple[str, ...]) -> argparse.ArgumentParser:
-    """The parser with a subparser for each of names, in help order.
+def _help(command: str | None):
+    """Print the help of command, or minorb's for None, in the layout of
+    argparse 3.10-3.12 at the terminal width, and exit 0."""
+    import shutil
+    import textwrap
 
-    main passes the one command it runs, when argv names one, because a
-    process runs one command: all twelve subparsers take about 1.8 ms to
-    build and one about 0.2 ms (2-vCPU VM, Python 3.11.7).  Top-level
-    help, no arguments and an unknown command get every subparser.
-    """
-    # usage wrapped as by Python 3.10-3.12, not 3.13; so subcommands need prog
-    indent = "\n" + " " * len("usage: minorb ")
-    parser = _Parser(
-        prog="minorb",
-        usage=f"%(prog)s [-h]{indent}{{{','.join(_COMMANDS)}}}{indent}...",
-        description="Exact root-system combinatorics and minimal-orbit invariants.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True, prog="minorb")
-    for name in names:
-        _, help_text, arguments = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--json", action="store_true", help="emit a one-line JSON envelope")
-        for argument, options in arguments.items():
-            p.add_argument(argument, **options)
-    return parser
+    width = max(shutil.get_terminal_size().columns - 2, 1)
+    options = {"-h, --help": "show this help message and exit"}
+    if command is None:
+        prog, choices = "minorb", "{" + ",".join(_COMMANDS) + "}"
+        about = "Exact root-system combinatorics and minimal-orbit invariants."
+        positionals = {choices: "", **{"  " + n: e[1] for n, e in _COMMANDS.items()}}
+    else:
+        arguments, prog, about = _COMMANDS[command][2], f"minorb\xa0{command}", ""
+        options["--json"] = "emit a one-line JSON envelope"
+        options.update((a, text) for a, text in arguments.items() if a[0] == "-")
+        positionals = {a: text for a, text in arguments.items() if a[0] != "-"}
+    names = [choices, "..."] if command is None else list(positionals)
+    # the usage, wrapped as argparse wraps it: a no-break space keeps each part whole
+    flags = ["[-h]", *(f"[{o}]".replace(" ", "\xa0") for o in list(options)[1:])]
+
+    def wrap(parts, first=" " * 7, rest=" " * 7):
+        return textwrap.wrap(" ".join(parts), width, initial_indent=first, subsequent_indent=rest,
+                             break_long_words=False, break_on_hyphens=False)
+
+    lines = [" ".join(["usage:", prog, *flags, *names])]
+    if len(lines[0]) > width and 7 + len(prog) <= 0.75 * width:  # the parts follow prog
+        indent = " " * (8 + len(prog))
+        lines = wrap([prog, *flags], "usage: ", indent) + wrap(names, indent, indent)
+    elif len(lines[0]) > width:  # prog on a line of its own, then the parts
+        lines = wrap(flags + names)
+        lines = ["usage: " + prog] + (lines if len(lines) < 2 else wrap(flags) + wrap(names))
+    at = min(max(map(len, [*positionals, *options])) + 4, min(24, max(width - 20, 4)))
+
+    def entry(name, text):  # the text from column at, below the name if that is long
+        lines = [" " * at + line for line in textwrap.wrap(text, max(width - at, 11))]
+        if lines and len(name) <= at - 4:
+            name = name.ljust(at - 2) + lines.pop(0)[at:]
+        return "\n".join(["  " + name] + lines)
+
+    blocks = ["\n".join(lines).replace("\xa0", " "), textwrap.fill(about, max(width, 11))]
+    for title, entries in ("positional arguments:", positionals), ("options:", options):
+        blocks.append("\n".join([title, *(entry(*e) for e in entries.items())]))
+    with suppress(OSError):  # as argparse: help into a closed stdout is no error
+        print("\n\n".join(filter(None, blocks)))
+    raise SystemExit(0)
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # A leading -- ends the options, so the command follows it even where it
-    # starts with a minus; argparse 3.10-3.13 would take the -- for the command.
-    ended = argv[:1] == ["--"]
-    if ended:
-        argv = argv[1:]
-    names = (argv[0],) if argv and argv[0] in _COMMANDS else tuple(_COMMANDS)
     with _all_digits():
         try:
-            if ended and argv[:1] and argv[0][:1] == "-":
-                raise ValueError(f"argument command: {_invalid_choice(argv[0], _COMMANDS)}")
-            args = _build_parser(names).parse_args(argv)
-            typ = None if args.command == "table" else _typ(args.type)
-            payload, text = _COMMANDS[args.command][0](typ, args)
+            command, args = _parse(sys.argv[1:] if argv is None else argv)
+            typ = None if command == "table" else _typ(args["type"])
+            payload, text = _COMMANDS[command][0](typ, args)
         except ValueError as err:
-            print(f"error: {_clip_arguments(str(err), argv)}", file=sys.stderr)
+            print(f"error: {err}", file=sys.stderr)
             return 2
-        if args.json:
-            envelope = {
-                "format": "minorb/1",
-                "command": args.command,
-                "type": None if typ is None else str(typ),
-                "payload": payload,
-            }
+        if "--json" in args:
+            typ = None if typ is None else str(typ)
+            envelope = {"format": "minorb/1", "command": command, "type": typ, "payload": payload}
             print(json.dumps(envelope))
         else:
             print(text)

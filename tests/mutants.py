@@ -41,6 +41,9 @@ class Mutant(NamedTuple):
 
 
 ROOTS = "tests/test_rootsys.py::"
+REPDIM = "tests/test_repdim.py::"
+INVARIANTS = "tests/test_invariants.py::"
+CLI = "tests/test_cli.py::"
 
 MUTANTS = (
     Mutant(
@@ -85,6 +88,69 @@ MUTANTS = (
         "if (p := depths.get(i, 0)) > c:",
         "if (p := depths.get(i, 0)) > c + 1:",
         (ROOTS + "test_height_pass_agrees_with_the_closed_forms", ROOTS + "test_positive_roots_fingerprint"),
+    ),
+    Mutant(
+        "_value_counts packs a form whose simple values sum to exactly n**2 no more",
+        "src/minorb/rootsys.py",
+        "sum(simple) > n * n:",
+        "sum(simple) >= n * n:",
+        (ROOTS + "test_value_counts_cutoff",),
+    ),
+    Mutant(
+        "_value_counts packs a form whose simple values sum to n**2 + 1",
+        "src/minorb/rootsys.py",
+        "sum(simple) > n * n:",
+        "sum(simple) > n * n + 1:",
+        (ROOTS + "test_value_counts_cutoff",),
+    ),
+    Mutant(
+        "_value_counts takes the pairs i <= j for B and D and i < j for C",
+        "src/minorb/rootsys.py",
+        "square = p * p - doubled if first else p * p + doubled",
+        "square = p * p + doubled if first else p * p - doubled",
+        (ROOTS + "test_value_counts_cutoff", REPDIM + "test_pinned_dimensions"),
+    ),
+    Mutant(
+        "dim_irrep subtracts no rho counts",
+        "src/minorb/repdim.py",
+        "powers[v] = powers.get(v, 0) - e",
+        "powers[v] = powers.get(v, 0)",
+        (REPDIM + "test_pinned_dimensions", REPDIM + "test_trivial_and_weyl_vector"),
+    ),
+    Mutant(
+        "closure_is_smooth leaves out A's omega_n",
+        "src/minorb/parabolic.py",
+        '("A", n): (1, n)',
+        '("A", n): (1,)',
+        (
+            "tests/test_parabolic.py::test_smoothness_matches_the_weyl_route_on_fundamentals",
+            INVARIANTS + "test_smooth_fundamentals",
+        ),
+    ),
+    Mutant(
+        "compute_m reads the support masks in reverse node order",
+        "src/minorb/invariants.py",
+        "for mask in support_masks(typ)]",
+        "for mask in reversed(support_masks(typ))]",
+        (INVARIANTS + "test_m_from_hilbert_polynomial_differences", INVARIANTS + "test_m_table"),
+    ),
+    Mutant(
+        "an argument that starts with a minus and a digit is an option",
+        "src/minorb/cli.py",
+        ' or arg[1:2].isdecimal():',
+        ':',
+        (CLI + "test_lists_starting_with_a_minus_reach_the_library_checks",),
+    ),
+    Mutant(
+        "a long option is named only in full, never by a prefix (-h... still names --help)",
+        "src/minorb/cli.py",
+        """    name = "--h" if arg[1] == "h" else arg.partition("=")[0]
+    found = [o for o in options if len(name) > 2 and o.startswith(name)]
+""",
+        """    name = "--help" if arg[1] == "h" else arg.partition("=")[0]
+    found = [o for o in options if len(name) > 2 and o == name]
+""",
+        (CLI + "test_table_rows",),
     ),
 )
 

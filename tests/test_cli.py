@@ -1,6 +1,5 @@
 """Command line behavior: golden outputs, JSON envelopes, exit codes."""
 
-import argparse
 import io
 import json
 import os
@@ -17,7 +16,7 @@ from hypothesis import given, seed, settings, strategies as st
 from minorb import MAX_RANK, MAX_WEIGHT_ENTRY, dim_irrep, parse_type
 from minorb.rootsys import MAX_QUOTED, positive_roots, root_columns
 from minorb.parabolic import support_masks
-from minorb.cli import _COMMANDS, _build_parser, main
+from minorb.cli import _COMMANDS, main
 
 
 def run(capsys, *argv):
@@ -164,6 +163,7 @@ def test_table_rows(capsys):
     code, out, _ = run(capsys, "table", "3", "--max-rank", "4")
     assert "D4\t7\t6\t1,3,4\t8,8,8" in out.splitlines()
     assert "F4\t16\t15\t1,4\t52,26" in out.splitlines()
+    assert run(capsys, "table", "3", "--max", "4") == (0, out, "")  # a prefix names the option
     code, out, _ = run(capsys, "table", "4", "--max-rank", "2")
     assert "G2\t6\tA2\t8" in out.splitlines()
     code, out, _ = run(capsys, "table", "5", "--max-rank", "2")
@@ -392,9 +392,10 @@ def test_unparsable_input_is_quoted_short(capsys):
          "repeated short flag value"],
 )
 def test_argparse_errors_are_clipped_and_return_2(capsys, argv, quoted):
-    """argparse's own errors return 2 through main, like every input error,
-    and quote an over-long argument by its first MAX_QUOTED characters, also
-    one with spaces or quote marks inside."""
+    """Errors of the command line grammar (an unknown command, an
+    unrecognized argument, a refused option value) return 2 through main,
+    like every input error, and quote an over-long argument by its first
+    MAX_QUOTED characters, also one with spaces or quote marks inside."""
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "") and err.startswith("error: ")
     assert quoted in err and len(err.encode()) < 1000
@@ -406,9 +407,10 @@ def test_argparse_errors_of_normal_size_stay_whole(capsys):
     assert (code, out) == (2, "")
     assert err == f"error: argument command: invalid choice: 'frob' (choose from {choices})\n"
     assert run(capsys) == (2, "", "error: the following arguments are required: command\n")
-    # -hX with -X no option is refused as under Python 3.10-3.12; 3.13's own
-    # argparse would take the -h and print the help
-    for arg, tail in (("-hz' z' ", '"z\' z\' "'), ("-hhj", "'j'"), ("-h=j", "'j'")):
+    # -hX reads as -h, then -X, and as no -X exists, X is refused: after any
+    # run of h and one =, as in -hh=j
+    refused = (("-hz' z' ", '"z\' z\' "'), ("-hhj", "'j'"), ("-h=j", "'j'"), ("-hh=j", "'j'"))
+    for arg, tail in refused:
         assert run(capsys, "cartan", "A2", arg) == (
             2,
             "",
@@ -423,9 +425,14 @@ def test_argparse_errors_of_normal_size_stay_whole(capsys):
 
 def test_a_leading_double_dash_ends_the_options(capsys):
     """-- before the command only ends the options: the command follows it,
-    and one starting with a minus is an unknown command, not an option."""
+    and one starting with a minus is an unknown command, not an option.
+    Options before the -- are still read, and a -- that ends the command's
+    options may be its last argument."""
     assert run(capsys, "--", "cartan", "A2") == run(capsys, "cartan", "A2") == (0, " 2 -1\n-1  2\n", "")
     assert run(capsys, "--", "dim", "A2", "--", "1,1") == (0, "8\n", "")
+    assert run(capsys, "-x", "--", "cartan", "A2") == (2, "", "error: unrecognized arguments: -x\n")
+    code, out, err = run(capsys, "roots", "A2", "--json", "--")
+    assert (code, err) == (0, "") and json.loads(out)["payload"]["count"] == 3
     choices = ", ".join(f"'{c}'" for c in _COMMANDS)
     for command in ("-h", "--json", "--", "nosuch"):
         assert run(capsys, "--", command, "A2") == (
@@ -468,14 +475,14 @@ def test_unknown_options_are_named_before_missing_arguments(capsys, argv, unknow
 )
 def test_lists_starting_with_a_minus_reach_the_library_checks(capsys, argv, message):
     """A list such as -1,2 is the argument, not an unknown option, so the
-    library's own check refuses it rather than argparse's missing argument:
-    so is any argument that starts with a minus and a digit, underscores and
-    Unicode whitespace included, as no option starts so."""
+    library's own check refuses it rather than the grammar's missing
+    argument: so is any argument that starts with a minus and a digit,
+    underscores and Unicode whitespace included, as no option starts so."""
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 # `minorb --help` and every subcommand's, at 80 columns, taken while argparse
-# still read the integer arguments itself.
+# still read the integer arguments itself; cli._help keeps argparse's layout.
 HELP = json.loads((Path(__file__).parent / "help.json").read_text())
 
 
@@ -492,26 +499,15 @@ def test_help_text(capsys, monkeypatch, command):
     assert capsys.readouterr() == (HELP[command], "")
 
 
-def test_a_command_builds_only_its_own_subparser(capsys, monkeypatch):
-    """A run naming a command builds the top-level parser and that one
-    command's subparser, not every command's."""
-    built = []
-    init = argparse.ArgumentParser.__init__
-
-    def counted(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    _build_parser.cache_clear()
-    assert run(capsys, "dim", "A1", "1") == (0, "2\n", "")
-    assert built == ["minorb", "minorb dim"]
+# modules that only the help, or an argparse parser, would load
+HELP_ONLY = {"argparse", "gettext", "shutil", "textwrap"}
 
 
-def test_import_leaves_dataclasses_and_inspect_unloaded():
-    """The CLI's cold start imports neither dataclasses nor what it pulls in."""
+def loaded(code: str, watched: set[str]) -> str:
+    """The output of code run in a new interpreter without site, on this
+    checkout's src, then the sorted list of the watched modules it loaded."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    code = "import sys, minorb.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    code = f"import sys; {code}; print(sorted({watched!r} & set(sys.modules)))"
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code],
         capture_output=True,
@@ -519,7 +515,20 @@ def test_import_leaves_dataclasses_and_inspect_unloaded():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+def test_a_command_builds_only_its_own_subparser():
+    """A run of a command reads its arguments off _COMMANDS and prints no
+    help, so it loads none of the modules that a parser or the help would."""
+    code = "from minorb.cli import main; main(['dim', 'A1', '1'])"
+    assert loaded(code, HELP_ONLY) == "2\n[]\n"
+
+
+def test_import_leaves_dataclasses_and_inspect_unloaded():
+    """The CLI's cold start imports neither dataclasses nor what it pulls in,
+    nor argparse, gettext, shutil or textwrap, which only the help needs."""
+    assert loaded("import minorb.cli", {"dataclasses", "inspect"} | HELP_ONLY) == "[]\n"
 
 
 def test_module_entry_point():
@@ -581,15 +590,17 @@ def entry_list(draw, plain, odd, length):
 
 
 def takes_as_argument(arg: str) -> bool:
-    """Whether argparse reads arg as an argument, never as an option: a list
-    such as -1,2 is an argument too."""
+    """Whether the grammar reads arg as an argument, never as an option: "-",
+    one that starts with no minus, or with a minus and a digit as the list
+    -1,2 does, and one holding a space (no positional drawn starts with -h,
+    which always names --help)."""
     return arg[:1] != "-" or arg == "-" or " " in arg or arg[1:2].isdigit()
 
 
 @st.composite
 def command_line(draw):
     """(argv, whether it holds every positional of a known command, each one
-    that argparse reads as an argument)."""
+    that the grammar reads as an argument)."""
     command = draw(st.sampled_from([*_COMMANDS, "nosuch", ""]))
     family = draw(st.sampled_from("ABCDEFGac"))
     low, high = RANKS[family.upper()]

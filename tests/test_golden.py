@@ -29,7 +29,7 @@ import pytest
 from jsonschema import Draft202012Validator
 
 from minorb import SimpleType, table_types
-from minorb.cli import _COMMANDS, _build_parser, main
+from minorb.cli import _COMMANDS, main
 
 GOLDEN = Path(__file__).with_name("golden.json")
 NODE_PINS = Path(__file__).with_name("node_sha256.json")
@@ -186,13 +186,12 @@ def test_schema_checks_levi_and_branch_payloads(golden, line):
 
 
 def test_one_parser_serves_successive_calls(golden):
-    """A command's parser is built once per process, and no call's options
-    reach the next.
+    """Successive calls in one process each print their own transcript: no
+    call's options reach the next.
 
     The expected transcripts are the rank-16 goldens cut down to the rows of
     table_types(max_rank).
     """
-    _build_parser.cache_clear()
     for line, max_rank in [("table 2", 12), ("table 3 --max-rank 4", 4)] * 2:
         number = line.split()[1]
         names = {str(t) for t in table_types(max_rank)}
@@ -207,8 +206,6 @@ def test_one_parser_serves_successive_calls(golden):
         payload["max_rank"] = max_rank
         payload["rows"] = [r for r in payload["rows"] if r["type"] in names]
         assert transcript(line + " --json") == json.dumps(doc) + "\n"
-    info = _build_parser.cache_info()
-    assert (info.misses, info.hits) == (1, 7)  # table's parser, built once
 
 
 def node_pin_types() -> list[SimpleType]:
