@@ -7,19 +7,21 @@ JSON envelope with --json:
 
 Weights and node sets are written as comma-separated integers.  Inputs
 naming a redundant type (C2, D3) are accepted and canonicalized with a
-note on stderr.  Bad input exits with status 2.
+note on stderr.  Bad input exits with status 2, and output into a closed
+stdout with status 1.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
 from collections import Counter
 from contextlib import contextmanager, suppress
 
 from .grading import branch_adjoint, grade_adjoint, lowest_weight_of_v_alpha
-from .invariants import compute_d, compute_m, compute_r, full_report
+from .invariants import compute_m, compute_r, full_report
 from .parabolic import _support, closure_is_smooth, dim_min_orbit, levi_data, orbit_type
 from .repdim import dim_irrep, dual_weight
 from .rootsys import (
@@ -28,7 +30,6 @@ from .rootsys import (
     SimpleType,
     cartan_matrix,
     clipped,
-    dim_simple,
     inverse_cartan,
     parse_type,
     positive_roots,
@@ -322,14 +323,8 @@ _TABLE_NOTES = {
 
 def _table_row(number: int, typ: SimpleType) -> dict:
     if number == 2:
-        r = compute_r(typ)
-        return {
-            "dim": dim_simple(typ),
-            "m": compute_m(typ).m,
-            "d": compute_d(typ).d,
-            "r": r.r,
-            "h": str(r.witness),
-        }
+        rep = full_report(typ)
+        return {"dim": rep.dim, "m": rep.m.m, "d": rep.d.d, "r": rep.r.r, "h": str(rep.r.witness)}
     if number == 3:
         m = compute_m(typ)
         fundamentals = (
@@ -340,7 +335,7 @@ def _table_row(number: int, typ: SimpleType) -> dict:
     if number == 4:
         r = compute_r(typ)
         return {"r": r.r, "h": str(r.witness), "dim_h": r.witness.dim_h}
-    d = compute_d(typ)
+    d = full_report(typ).d
     return {"d": d.d, "witness": str(d.witness), "dim_h": d.witness.dim_h}
 
 
@@ -502,9 +497,13 @@ def main(argv=None) -> int:
         if "--json" in args:
             typ = None if typ is None else str(typ)
             envelope = {"format": "minorb/1", "command": command, "type": typ, "payload": payload}
-            print(json.dumps(envelope))
-        else:
+            text = json.dumps(envelope)
+        try:
             print(text)
+        except BrokenPipeError:  # the reader closed stdout: as the Python docs advise,
+            # point it at devnull, so that the flush at exit finds no pipe to fail on
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
     return 0
 
 

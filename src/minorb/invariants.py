@@ -34,7 +34,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple, Union
 
-from .parabolic import closure_is_smooth, dim_u, support_masks
+from .parabolic import _natural_nodes, dim_u, support_masks
 from .rootsys import SimpleType, canonicalize, checked_nodes, checked_rank, dim_simple
 from .rootsys import _components, root_columns
 
@@ -250,18 +250,12 @@ class InvariantReport(NamedTuple):
 
 
 def full_report(typ: SimpleType) -> InvariantReport:
-    """All three invariants plus the fundamental smoothness sweep."""
+    """All three invariants, held to m <= d <= r, and the nodes whose
+    fundamental weight has a smooth orbit closure: the natural modules'."""
     typ = canonicalize(typ)
     m = compute_m(typ)
     r = compute_r(typ)
     d = compute_d(typ)
     if not m.m <= d.d <= r.r:
         raise RuntimeError(f"{typ} breaks m <= d <= r: {m.m}, {d.d}, {r.r}")
-    smooth = tuple(
-        i
-        for i in range(1, typ.rank + 1)
-        if closure_is_smooth(typ, tuple(int(k == i) for k in range(1, typ.rank + 1)))
-    )
-    return InvariantReport(
-        typ, dim_simple(typ), m, r, d, d.d == r.r, smooth
-    )
+    return InvariantReport(typ, dim_simple(typ), m, r, d, d.d == r.r, _natural_nodes(typ))

@@ -128,6 +128,15 @@ def orbit_type(typ: SimpleType, weight: Iterable[int]) -> tuple[Weight, int]:
     return tuple(c // k for c in w), k
 
 
+def _natural_nodes(typ: SimpleType) -> tuple[int, ...]:
+    """The nodes whose fundamental module is natural, that of SL_(n+1) or its
+    dual or of Sp_(2n), under every name SimpleType accepts: 1 and n of A_n
+    (only 1 of A1), 1 of C_n (C2 too), 2 of B2 (= C2), and 2 and 3 of D3 (= A3)."""
+    n = typ.rank
+    natural = {("A", n): (1, n) if n > 1 else (1,), ("B", 2): (2,), ("C", n): (1,), ("D", 3): (2, 3)}
+    return natural.get((typ.family, n), ())
+
+
 def closure_is_smooth(typ: SimpleType, weight: Iterable[int]) -> bool:
     """Whether the orbit closure in V_lambda is smooth at the origin.
 
@@ -136,12 +145,8 @@ def closure_is_smooth(typ: SimpleType, weight: Iterable[int]) -> bool:
     the closure is smooth exactly when it is all of V_lambda: when G is
     transitive on P(V_lambda).  Among simple groups that holds only for the
     natural module of SL_(n+1) or its dual and that of Sp_(2n), so lambda is
-    a fundamental weight at one of these nodes, under every name that
-    SimpleType accepts: 1 or n of A_n, 1 of C_n (C2 too), 2 of B2 (= C2),
-    and 2 or 3 of D3 (= A3).  The tests hold this to dim V_lambda = dim u(S)
-    + 1 for S the support.
+    the fundamental weight at one of _natural_nodes.  The tests hold this to
+    dim V_lambda = dim u(S) + 1 for S the support.
     """
     w = _checked_nonzero_dominant(typ, weight)
-    n = typ.rank
-    natural = {("A", n): (1, n), ("B", 2): (2,), ("C", n): (1,), ("D", 3): (2, 3)}
-    return sum(w) == 1 and w.index(1) + 1 in natural.get((typ.family, n), ())
+    return sum(w) == 1 and w.index(1) + 1 in _natural_nodes(typ)

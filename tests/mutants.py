@@ -42,6 +42,7 @@ class Mutant(NamedTuple):
 
 ROOTS = "tests/test_rootsys.py::"
 REPDIM = "tests/test_repdim.py::"
+PARABOLIC = "tests/test_parabolic.py::"
 INVARIANTS = "tests/test_invariants.py::"
 CLI = "tests/test_cli.py::"
 
@@ -118,13 +119,21 @@ MUTANTS = (
         (REPDIM + "test_pinned_dimensions", REPDIM + "test_trivial_and_weyl_vector"),
     ),
     Mutant(
-        "closure_is_smooth leaves out A's omega_n",
+        "_natural_nodes leaves out A's omega_n",
         "src/minorb/parabolic.py",
         '("A", n): (1, n)',
         '("A", n): (1,)',
+        (PARABOLIC + "test_smoothness_matches_the_weyl_route_on_fundamentals", INVARIANTS + "test_smooth_fundamentals"),
+    ),
+    Mutant(
+        "_natural_nodes leaves out C's node 1",
+        "src/minorb/parabolic.py",
+        ', ("C", n): (1,)',
+        "",
         (
-            "tests/test_parabolic.py::test_smoothness_matches_the_weyl_route_on_fundamentals",
             INVARIANTS + "test_smooth_fundamentals",
+            PARABOLIC + "test_smoothness_matches_the_weyl_route_on_fundamentals",
+            PARABOLIC + "test_smoothness_matches_the_weyl_route_on_sparse_weights",
         ),
     ),
     Mutant(
@@ -151,6 +160,22 @@ MUTANTS = (
     found = [o for o in options if len(name) > 2 and o == name]
 """,
         (CLI + "test_table_rows",),
+    ),
+    Mutant(
+        "table 5's row reads r's result, not d's, off full_report",
+        "src/minorb/cli.py",
+        "d = full_report(typ).d",
+        "d = full_report(typ).r",
+        (CLI + "test_table_rows",),
+    ),
+    Mutant(
+        "a value option takes the next argument even when that is an option",
+        "src/minorb/cli.py",
+        """                if _option(value, options) is not None:
+                    raise ValueError(f"argument {name}: expected one argument")
+""",
+        "",
+        (CLI + "test_argparse_errors_of_normal_size_stay_whole",),
     ),
 )
 

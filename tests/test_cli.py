@@ -13,9 +13,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from minorb import MAX_RANK, MAX_WEIGHT_ENTRY, dim_irrep, parse_type
+from minorb import MAX_RANK, MAX_WEIGHT_ENTRY, dim_irrep, invariants, parse_type
 from minorb.rootsys import MAX_QUOTED, positive_roots, root_columns
 from minorb.parabolic import support_masks
+from minorb.invariants import MResult
 from minorb.cli import _COMMANDS, main
 
 
@@ -169,6 +170,14 @@ def test_table_rows(capsys):
     code, out, _ = run(capsys, "table", "5", "--max-rank", "2")
     assert "E7\t45\tB5 . U(1)\t88" in out.splitlines()
     assert "E8\t86\tE6 . U(7,8)\t162" in out.splitlines()
+
+
+def test_table_rows_pass_the_report_guard(monkeypatch):
+    """Tables 2 and 5 read full_report, so a row breaking m <= d <= r raises."""
+    monkeypatch.setattr(invariants, "compute_m", lambda typ: MResult(10**6, 10**6 - 1, (1,)))
+    for number in ("2", "5"):
+        with pytest.raises(RuntimeError, match="breaks m <= d <= r"):
+            main(["table", number])
 
 
 def test_json_envelope(capsys):
@@ -421,6 +430,13 @@ def test_argparse_errors_of_normal_size_stay_whole(capsys):
         "",
         "error: the following arguments are required: weight\n",
     )
+    # a value option at the end, or before another option, has no value
+    for argv, option in (
+        (["grade", "A2", "1", "--mod"], "--mod"),
+        (["grade", "A2", "1", "--mod", "--json"], "--mod"),
+        (["table", "2", "--max-rank"], "--max-rank"),
+    ):
+        assert run(capsys, *argv) == (2, "", f"error: argument {option}: expected one argument\n")
 
 
 def test_a_leading_double_dash_ends_the_options(capsys):
@@ -538,6 +554,22 @@ def test_module_entry_point():
         text=True,
     )
     assert proc.returncode == 0 and proc.stdout == "2\n"
+
+
+def test_a_closed_stdout_exits_1_with_an_empty_stderr():
+    """D64's roots, about 500 KB as text or JSON, overflow the pipe's buffer,
+    so the write meets the pipe that the reader closed after one byte."""
+    for extra in ([], ["--json"]):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "minorb.cli", "roots", "D64", *extra],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        proc.stdout.read(1)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(), err) == (1, b""), extra
 
 
 # -- a grammar fuzz of main -------------------------------------------------
