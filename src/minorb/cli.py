@@ -37,9 +37,9 @@ from .rootsys import (
 )
 
 
-# Largest --max-rank of `table`: `table 2 --max-rank 32 --json` takes about
-# 0.35 s (median of nine cold processes, 2-vCPU VM, Python 3.11.7; the VM's
-# speed drifts by up to 2x).
+# Largest --max-rank of `table`: `table 2 --max-rank 32 --json` takes
+# 0.13-0.18 s (medians of two sets of nine cold processes, 2-vCPU VM, Python
+# 3.11.7; the VM's speed drifts by up to 2x).
 MAX_TABLE_RANK = 32
 
 

@@ -14,10 +14,11 @@ G / P_lambda, obtained as the minimum over three certificate families:
   * the crude bound dim u(S) + 2 for a support S of two or more nodes.
 
 Since dim u(S) grows strictly with S, the crude family is minimized on
-pairs, and only pairs are evaluated; the tests sweep every support as a
-cross-check.  As r >= 2 for every simple type, the refined bound is
-evaluated only at the nodes where dim u + 1 + min(dim V(alpha_i), 2), its
-floor, does not exceed the least value in hand.
+pairs, and only pairs of nodes with dim u(i) <= r - 2 are evaluated; the
+tests sweep every support and every pair as cross-checks.  The refined
+bound is evaluated only at the nodes where its floor dim u + 1 +
+min(dim V(alpha_i), f) does not exceed the least value in hand, with f a
+floor on r(L'): max(2, 2n - 3) at an end node of the diagram, 2 elsewhere.
 r and d are each certified by a Witness subgroup of that codimension.
 Each d certificate names one: r's witness; for crude(S), the Levi's
 simple factors times U(S); for refined(i), the same with the r-least
@@ -36,7 +37,7 @@ from typing import NamedTuple, Union
 
 from .parabolic import _natural_nodes, dim_u, support_masks
 from .rootsys import SimpleType, canonicalize, checked_nodes, checked_rank, dim_simple
-from .rootsys import _components, root_columns
+from .rootsys import _components, _neighbours, root_columns
 
 
 class Torus(NamedTuple("Torus", [("rank", int)])):
@@ -205,29 +206,36 @@ def compute_d(typ: SimpleType) -> DResult:
     the first winner's subgroup with no torus factor, else the first's.
 
     The crude family is evaluated on pairs only, which suffices because
-    dim u(S) is strictly increasing in S.  Each pair's dim u(S) is the
-    popcount of the union of its two support masks, kept as a bare int;
-    a certificate is built only for the pairs that attain d.  From there,
-    the refined bound is evaluated only at nodes, in order, whose floor
-    dim u + 1 + min(dim V(alpha_i), 2) is at most the least value so far:
-    r >= 2 for every simple type (A1 > T1 attains it; no simple group has
-    a reductive subgroup of codimension 1), so a skipped node exceeds d.
+    dim u(S) is strictly increasing in S, and only on pairs of nodes with
+    dim u(i) <= r - 2: dim u(S) >= dim u(i) for i in S, and d <= r.  Each
+    pair's dim u(S) is the popcount of the union of its two support masks,
+    kept as a bare int; a certificate is built only for the pairs that
+    attain d.  From there, the refined bound is evaluated only at nodes, in
+    order, whose floor dim u + 1 + min(dim V(alpha_i), f) is at most the
+    least value so far, so a skipped node exceeds d.  f is a floor on
+    r(L') read without naming L': every simple X has r(X) >= max(2,
+    2 rank(X) - 1), tight on A1 > T1, A3 > B2 and every D_k > B(k-1).  At
+    an end node, bonded to one other, L' is one simple factor of rank
+    n - 1, so f = max(2, 2n - 3); elsewhere f = 2, since the least rank
+    of a factor of L' is known only once its components are named.
     """
     n = typ.rank
     r_value, r_witness = compute_r(typ)
     bounds = [BoundCertificate("reductive", (), r_value, f"H = {r_witness}")]
-    sizes = [(x | y).bit_count() for x, y in combinations(support_masks(typ), 2)]
-    d = min(r_value, min(sizes, default=math.inf) + 2)
-    for i in range(1, n + 1):
+    near = [(i, x) for i, x in enumerate(support_masks(typ), 1) if x.bit_count() <= r_value - 2]
+    pairs = [((i, j), (x | y).bit_count()) for (i, x), (j, y) in combinations(near, 2)]
+    d = min([r_value] + [u + 2 for _, u in pairs])
+    end_floor = max(2, 2 * n - 3)  # a floor on r(L') at an end node
+    for i, bonded in enumerate(_neighbours(typ), 1):
         head, in_module = _head_and_module(typ, i)
-        if head + min(in_module, 2) <= d:
+        if head + min(in_module, end_floor if bonded.bit_count() == 1 else 2) <= d:
             bounds.append(sukhanov_refined(typ, i))
             d = min(d, bounds[-1].value)
     # Evaluation order is already (source, nodes) order among the winners:
     # no larger support ties the least pair, as dim u(S) rises strictly with S.
     certificates = tuple(c for c in bounds if c.value == d) + tuple(
         BoundCertificate("crude", nodes, d, f"dim u(S) + 2 = {u} + 2")
-        for nodes, u in zip(combinations(range(1, n + 1), 2), sizes)
+        for nodes, u in pairs
         if u + 2 == d
     )
     witnesses = [_witness(typ, c) for c in certificates]

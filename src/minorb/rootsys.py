@@ -50,13 +50,13 @@ Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]
 
 # Largest rank parse_type accepts: `minorb invariants D64 --json` takes
-# 0.09-0.13 s (medians of two sets of nine cold processes, 2-vCPU VM, Python
+# 0.08-0.10 s (medians of two sets of nine cold processes, 2-vCPU VM, Python
 # 3.11.7; the VM's speed drifts by up to 2x).  SimpleType itself is
 # unbounded, so library callers may go higher.
 MAX_RANK = 64
 # Largest weight entry, in absolute value, that the command line accepts:
 # `minorb minorbit D64` with every entry at the ceiling prints a 36,289-digit
-# dimension in about 0.11 s, measured the same way; its Weyl pairings are
+# dimension in 0.11-0.16 s, measured the same way; its Weyl pairings are
 # past _value_counts' cutoff, so they are listed, not packed.
 MAX_WEIGHT_ENTRY = 10**9
 # Longest user text an error message quotes in full.

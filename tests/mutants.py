@@ -144,6 +144,27 @@ MUTANTS = (
         (INVARIANTS + "test_m_from_hilbert_polynomial_differences", INVARIANTS + "test_m_table"),
     ),
     Mutant(
+        "compute_d's floor on r(L') at an end node one notch high, 2n - 2",
+        "src/minorb/invariants.py",
+        "max(2, 2 * n - 3)",
+        "max(2, 2 * n - 2)",
+        (
+            INVARIANTS + "test_winner_certificates_match_every_pair_evaluation",
+            INVARIANTS + "test_compute_d_evaluates_few_refined_bounds",
+            INVARIANTS + "test_d_certificates",
+        ),
+    ),
+    Mutant(
+        "compute_d pairs only the nodes with dim u(i) <= r // 2, not r - 2",
+        "src/minorb/invariants.py",
+        "x.bit_count() <= r_value - 2]",
+        "x.bit_count() <= r_value // 2]",
+        (
+            INVARIANTS + "test_winner_certificates_match_every_pair_evaluation",
+            INVARIANTS + "test_d_certificates",
+        ),
+    ),
+    Mutant(
         "an argument that starts with a minus and a digit is an option",
         "src/minorb/cli.py",
         ' or arg[1:2].isdecimal():',

@@ -19,6 +19,7 @@ from minorb import (
     Witness,
     branch_adjoint,
     canonicalize,
+    cartan_matrix,
     compute_d,
     compute_m,
     compute_r,
@@ -304,15 +305,18 @@ def test_refined_bound_by_independent_routes(typ):
     """sukhanov_refined at every node against dim u counted root by root,
     dim V(alpha_i) from grade counts taken on the root tuples, and Levi
     component types named by whole induced Cartan matrices.  compute_d's
-    floor dim u + 1 + min(dim V(alpha_i), 2), read through the same helper
-    as sukhanov_refined, never exceeds the bound: the least r is A1's 2."""
+    floor dim u + 1 + min(dim V(alpha_i), f), read through the same helper
+    as sukhanov_refined, never exceeds the bound: f is max(2, 2n - 3) at an
+    end node (one nonzero off-diagonal Cartan entry in its row), whose Levi
+    is one simple factor of rank n - 1, and 2 elsewhere."""
+    n = typ.rank
     counts = grade_counts(typ)
-    assert compute_r(typ).r >= compute_r(SimpleType("A", 1)).r == 2
-    for node in range(1, typ.rank + 1):
-        kept = [i for i in range(1, typ.rank + 1) if i != node]
+    for node in range(1, n + 1):
+        kept = [i for i in range(1, n + 1) if i != node]
         head = direct_dim_u(typ, [node]) + 1
         in_module = counts[node - 1][1]
-        in_levi = r_of_levi(c.typ for c in components_by_matrix(typ, kept))
+        levi = components_by_matrix(typ, kept)
+        in_levi = r_of_levi(c.typ for c in levi)
         detail = (
             f"(dim u + 1) + min(dim V(alpha_{node}), r(Levi)) = "
             f"{head} + min({in_module}, {in_levi})"
@@ -320,7 +324,13 @@ def test_refined_bound_by_independent_routes(typ):
         want = BoundCertificate("refined", (node,), head + min(in_module, in_levi), detail)
         assert sukhanov_refined(typ, node) == want
         assert minorb.invariants._head_and_module(typ, node) == (head, in_module)
-        assert head + min(in_module, 2) <= want.value
+        row = cartan_matrix(typ)[node - 1]
+        if sum(1 for j, a in enumerate(row, 1) if a and j != node) == 1:
+            assert [c.typ.rank for c in levi] == [n - 1]
+            floor = max(2, 2 * n - 3)
+        else:
+            floor = 2
+        assert head + min(in_module, floor) <= want.value
 
 
 @pytest.mark.parametrize(
@@ -346,10 +356,15 @@ def test_r_witness_keeps_the_callers_type(typ):
     assert (r, str(witness)) == (canonical.r, str(canonical.witness))
 
 
-@pytest.mark.parametrize("family", "ABCD")
-def test_compute_d_evaluates_few_refined_bounds(monkeypatch, family):
-    """At MAX_RANK, compute_d evaluates the refined bound at two nodes at
-    most: every other node's floor already exceeds a bound in hand."""
+# The nodes where compute_d evaluates the refined bound: none on A-D at
+# MAX_RANK, and on E6-E8 the ends whose floor reaches d.
+REFINED_EVALUATED = {"A": (), "B": (), "C": (), "D": (), "E6": (1, 6), "E7": (1, 6, 7), "E8": (7, 8)}
+
+
+@pytest.mark.parametrize("name", REFINED_EVALUATED)
+def test_compute_d_evaluates_few_refined_bounds(monkeypatch, name):
+    """compute_d evaluates the refined bound only at the nodes listed above:
+    every other node's floor already exceeds a bound in hand."""
     nodes = []
     refined = minorb.invariants.sukhanov_refined
 
@@ -358,8 +373,25 @@ def test_compute_d_evaluates_few_refined_bounds(monkeypatch, family):
         return refined(typ, node)
 
     monkeypatch.setattr(minorb.invariants, "sukhanov_refined", counted)
-    compute_d(SimpleType(family, MAX_RANK))
-    assert len(nodes) <= 2, nodes
+    compute_d(SimpleType(name, MAX_RANK) if len(name) == 1 else parse_type(name))
+    assert tuple(nodes) == REFINED_EVALUATED[name]
+
+
+@pytest.mark.parametrize(
+    "typ",
+    table_types(24)
+    + [SimpleType("C", 2), SimpleType("D", 3)]
+    + [SimpleType(f, n) for n in (40, MAX_RANK) for f in "ABCD"],
+    ids=str,
+)
+def test_reductive_codimension_floor(typ):
+    """r(X) >= max(2, 2 rank(X) - 1) on every simple X: the premise of
+    compute_d's floor max(2, 2n - 3) on r of an end node's Levi, one simple
+    factor of rank n - 1.  It is tight exactly on A1, A3 (= D3) and every D_k."""
+    r = compute_r(typ).r
+    floor = max(2, 2 * typ.rank - 1)
+    assert r >= floor
+    assert (r == floor) == (str(canonicalize(typ)) in ("A1", "A3") or typ.family == "D")
 
 
 def test_r_of_levi():

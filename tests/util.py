@@ -128,13 +128,15 @@ PUBLISHED_D_WITNESS = {
 
 
 def d_by_every_pair(typ: SimpleType) -> DResult:
-    """compute_d with a certificate built for every crude pair, then filtered.
+    """compute_d with a certificate built for every candidate, then filtered.
 
-    The reference route for compute_d, which keeps each pair's dim u(S) as
-    a bare int and builds certificates only for the pairs attaining d.  Here
-    every candidate becomes a BoundCertificate in evaluation order, and the
-    ones with the least value are kept.  The witness is E7's or E8's from
-    the published case analysis, which lie in a parabolic, and r's otherwise.
+    The unpruned reference route for compute_d, which pairs only the nodes
+    with dim u(i) <= r - 2, evaluates the refined bound only where its floor
+    can reach d, and builds certificates only for the pairs attaining d.
+    Here the refined bound at every node and every crude pair become
+    BoundCertificates in evaluation order, and the ones with the least value
+    are kept.  The witness is E7's or E8's from the published case analysis,
+    which lie in a parabolic, and r's otherwise.
     """
     n = typ.rank
     candidates = _reductive_and_refined(typ)
