@@ -18,40 +18,81 @@ That holds up to a cutoff, the simple values summing to at most rank**2,
 which keeps the ints within O(rank**2) digits; past it, and on E, F and G
 (rank at most 8), the pairings are listed and counted.  The cached counts
 of the rho pairings (the denominator, independent of the weight) are
-subtracted, and only the surviving powers are multiplied.  The final
-division is checked to be exact.
+subtracted.  Below the cutoff the product is one power per prime power,
+with no division; past it the final division is checked to be exact.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterable
 from functools import lru_cache
-from math import prod
+from itertools import chain, compress, repeat
+from math import isqrt, prod
+from operator import sub
 
-from .rootsys import SimpleType, _value_counts, checked_weight, symmetrizers
+from .rootsys import SimpleType, _packed_counts, _value_counts, checked_weight, symmetrizers
 
 Weight = tuple[int, ...]
 
 
 def dim_irrep(typ: SimpleType, weight: Iterable[int]) -> int:
-    """Dimension of the irreducible module with the given highest weight."""
+    """Dimension of the irreducible module with the given highest weight.
+
+    On A-D below rootsys's cutoff, net[v - 1] counts v among the a =
+    (lambda + rho, beta), beta > 0, less among the b = (rho, beta).  As
+    nu_p(v) = #{k >= 1 : p**k | v}, prod v**net[v - 1] is prod p**S(q) over
+    the prime powers q = p**k, S(q) = sum(net[q - 1 :: q]).  S(m) >= 0 for
+    m >= 2: by Weyl's denominator identity prod [a]_t / [b]_t is the
+    character of V(lambda) at e**mu -> t**(mu, rho), a Laurent polynomial,
+    so prod (t**a - 1) / prod (t**b - 1) is a polynomial, in which Phi_m (a
+    factor of t**a - 1 iff m | a) occurs S(m) times.  S < 0 raises, a check
+    stronger than an exact division.  Elsewhere the division is checked.
+    """
     w = checked_weight(typ, weight)
-    d = symmetrizers(typ)
-    powers = _value_counts(typ, [(c + 1) * dj for c, dj in zip(w, d)])
-    for v, e in _rho_counts(typ).items():
-        powers[v] = powers.get(v, 0) - e
-    num = prod(v**e for v, e in powers.items() if e > 0)
-    den = prod(v**-e for v, e in powers.items() if e < 0)
-    q, r = divmod(num, den)
-    if r:
-        raise RuntimeError(f"Weyl product for {typ} {w} is not an integer")
-    return q
+    simple = [(c + 1) * dj for c, dj in zip(w, symmetrizers(typ))]
+    counts = _packed_counts(typ, simple)
+    if counts is not None:
+        net = list(map(sub, counts, chain(_rho_list(typ), repeat(0))))
+        qs, ps = _prime_powers(1 << len(net).bit_length())
+        sums = [sum(net[q - 1 :: q]) for q in qs[: bisect_right(qs, len(net))]]
+        if not sums or min(sums) >= 0:
+            return prod(map(pow, ps, sums))
+    else:
+        powers = _value_counts(typ, simple)
+        for v, e in _rho_counts(typ).items():
+            powers[v] = powers.get(v, 0) - e
+        num = prod(v**e for v, e in powers.items() if e > 0)
+        q, r = divmod(num, prod(v**-e for v, e in powers.items() if e < 0))
+        if not r:
+            return q
+    raise RuntimeError(f"Weyl product for {typ} {w} is not an integer")
+
+
+@lru_cache(maxsize=None)
+def _rho_list(typ: SimpleType) -> list[int] | None:
+    """The packed counts of the values of (rho, beta), None on E, F and G."""
+    return _packed_counts(typ, symmetrizers(typ))
 
 
 @lru_cache(maxsize=None)
 def _rho_counts(typ: SimpleType) -> dict[int, int]:
     """How often each value of (rho, beta) occurs among the positive roots."""
-    return _value_counts(typ, symmetrizers(typ))
+    rho = _rho_list(typ)
+    return _value_counts(typ, symmetrizers(typ)) if rho is None else {v: c for v, c in enumerate(rho, 1) if c}
+
+
+@lru_cache(maxsize=None)
+def _prime_powers(limit: int) -> tuple[list[int], list[int]]:
+    """The prime powers q <= limit, ascending, and the prime of each."""
+    sieve = bytearray(2) + bytearray([1]) * (limit - 1)  # 1 at the primes
+    pairs = []
+    for p in range(2, isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+            pairs += ((p**k, p) for k in range(2, limit.bit_length()) if p**k <= limit)
+    pairs = sorted(pairs + [(p, p) for p in compress(range(limit + 1), sieve)])
+    return [q for q, _ in pairs], [p for _, p in pairs]
 
 
 def dim_irrep_product(parts: Iterable[tuple[SimpleType, Iterable[int]]]) -> int:

@@ -23,9 +23,9 @@ of Dynkin subdiagrams.  Conventions fixed once, for every other module:
   roots (a Weyl pairing, say), as their differences and sums, in no fixed
   order, with no root built.  The count of each value is a polynomial
   coefficient, of sum x**suf[i] times its reverse or of its square, and
-  _value_counts reads the counts off one integer product each, for a
-  positive form whose simple values sum to at most n**2; past that cutoff
-  it counts the listed values.  E, F and G take one dot product per root.
+  _packed_counts lists them off one integer product each while the simple
+  values sum to at most n**2; past that cutoff _value_counts counts the
+  listed values.  E, F and G take one dot product per root.
 * Each family's diagram is written once, as its edges and the root length
   ``d_i`` of each node: the symmetrizers, minimal positive integers making
   ``cartan * diag(d)`` symmetric.  A bond p - q has Cartan entries
@@ -315,7 +315,16 @@ def _value_multiset(typ: SimpleType, simple: Sequence[int]) -> list[int]:
 
 def _value_counts(typ: SimpleType, simple: Sequence[int]) -> dict[int, int]:
     """How often each value of a linear form occurs among the positive roots,
-    as a new dict, from its values on the simple roots.
+    as a new dict, from its values on the simple roots (see _packed_counts)."""
+    counts = _packed_counts(typ, simple)
+    if counts is None:
+        return Counter(_value_multiset(typ, simple))
+    return {v: c for v, c in enumerate(counts, 1) if c}
+
+
+def _packed_counts(typ: SimpleType, simple: Sequence[int]) -> list[int] | None:
+    """_value_counts' counts as a list whose entry v - 1 counts v, or None on
+    E, F and G and for every form but those packed below.
 
     On A-D, for a positive form whose simple values sum to at most n**2 (the
     cutoff), the counts are polynomial coefficients.  The suffix sums suf of
@@ -329,11 +338,11 @@ def _value_counts(typ: SimpleType, simple: Sequence[int]) -> dict[int, int]:
     multiplication.  Per part, v takes each index i at most once, so no
     digit exceeds 2n and none carries.  The cutoff bounds every packed int
     by 2n**2 + 1 digits, of the order of the value list, whatever the
-    weight.  E, F and G, and every other form, count _value_multiset.
+    weight.  The list reaches the largest value and may end in zeros.
     """
     n = typ.rank
     if typ.family not in _RANK_MIN or min(simple) <= 0 or sum(simple) > n * n:
-        return Counter(_value_multiset(typ, simple))
+        return None
     suf = _suffix_sums(simple)
     top = suf[0]
     width, code = next((w, c) for w, c in ((1, "B"), (2, "H"), (4, "I"), (8, "Q")) if 2 * n < 256**w)
@@ -350,7 +359,7 @@ def _value_counts(typ: SimpleType, simple: Sequence[int]) -> dict[int, int]:
     digits = memoryview(data).cast(code)
     if sys.byteorder == "big":
         digits = digits[::-1]
-    return {v: c for v, c in enumerate(digits.tolist(), 1) if c}
+    return digits.tolist()
 
 
 def _packed(exponents: Iterable[int], width: int, size: int) -> int:

@@ -119,6 +119,35 @@ MUTANTS = (
         (REPDIM + "test_pinned_dimensions", REPDIM + "test_trivial_and_weyl_vector"),
     ),
     Mutant(
+        "dim_irrep's prime-power route subtracts no rho counts",
+        "src/minorb/repdim.py",
+        "chain(_rho_list(typ), repeat(0))",
+        "repeat(0)",
+        (
+            REPDIM + "test_pinned_dimensions",
+            REPDIM + "test_trivial_and_weyl_vector",
+            REPDIM + "test_dimension_routes_at_the_cutoff",
+        ),
+    ),
+    Mutant(
+        "dim_irrep counts the multiples of q one place late",
+        "src/minorb/repdim.py",
+        "[sum(net[q - 1 :: q]) for q in qs",
+        "[sum(net[q :: q]) for q in qs",
+        (REPDIM + "test_pinned_dimensions", REPDIM + "test_dimension_routes_at_the_cutoff"),
+    ),
+    Mutant(
+        "_prime_powers lists the primes but not their higher powers",
+        "src/minorb/repdim.py",
+        "            pairs += ((p**k, p) for k in range(2, limit.bit_length()) if p**k <= limit)\n",
+        "",
+        (
+            REPDIM + "test_prime_powers_match_trial_division",
+            REPDIM + "test_pinned_dimensions",
+            REPDIM + "test_dimension_routes_at_the_cutoff",
+        ),
+    ),
+    Mutant(
         "_natural_nodes leaves out A's omega_n",
         "src/minorb/parabolic.py",
         '("A", n): (1, n)',

@@ -1,7 +1,9 @@
 """Weyl dimension arithmetic against published tables and closed forms."""
 
 import math
+import random
 import tracemalloc
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -21,7 +23,9 @@ from minorb import (
     symmetrizers,
     table_types,
 )
-from minorb.repdim import _rho_counts
+from minorb import repdim
+from minorb.repdim import _prime_powers, _rho_counts
+from minorb.rootsys import _value_multiset
 
 from util import ALL_TYPES, MAX_MODULES_BELOW, SMALL_TYPES, modules_below, weyl_vector
 
@@ -167,6 +171,79 @@ def test_dimension_matches_plain_weyl_product(data):
     typ = data.draw(st.sampled_from(table_types(24)))
     w = data.draw(st.lists(st.integers(0, 3), min_size=typ.rank, max_size=typ.rank))
     assert dim_irrep(typ, w) == plain_weyl_product(typ, w)
+
+
+# The A-D types whose Weyl dimensions read packed counts, across both digit widths.
+A_D = (
+    [t for t in table_types(24) if t.family in "ABCD"]
+    + [SimpleType("C", 2), SimpleType("D", 3)]
+    + [SimpleType(f, n) for n in (40, 56, 64, 128) for f in "ABCD"]
+)
+
+
+@pytest.mark.parametrize("typ", A_D, ids=str)
+def test_net_counts_divisible_by_every_m_are_nonnegative(typ):
+    """dim_irrep's premise: for every m >= 2, not only the prime powers, the
+    values (lambda + rho, beta) divisible by m are at least as many as the
+    values (rho, beta) divisible by m.  Both are counted from the value
+    lists, on seeded weights with entries 0-3 and every fundamental weight."""
+    rng = random.Random(f"net counts {typ}")
+    n, d = typ.rank, symmetrizers(typ)
+    rho = Counter(_value_multiset(typ, d))
+    weights = [[rng.randint(0, 3) for _ in range(n)] for _ in range(3)]
+    for w in weights + [fund(typ, i) for i in range(1, n + 1)]:
+        counts = Counter(_value_multiset(typ, [(c + 1) * dj for c, dj in zip(w, d)]))
+        counts.subtract(rho)
+        net = [0] * (max(counts) + 1)
+        for v, e in counts.items():
+            net[v] = e
+        assert min((sum(net[m::m]) for m in range(2, len(net))), default=0) >= 0, w
+
+
+@pytest.mark.parametrize("typ", A_D, ids=str)
+def test_dimension_routes_at_the_cutoff(typ, monkeypatch):
+    """A weight whose simple values (w_i + 1) * d_i sum to exactly rank**2
+    takes the prime-power route and one more the value-list route (each
+    route's helper is made to fail on the other's call); both must give the
+    plain Weyl product."""
+    n, d = typ.rank, symmetrizers(typ)
+    rng = random.Random(f"dimension cutoff {typ}")
+    at, left = [0] * n, n * n - sum(d)
+    while left:  # a node with d_i = 1 always fits
+        i = rng.choice([i for i in range(n) if d[i] <= left])
+        step = rng.randint(1, left // d[i])
+        at[i] += step
+        left -= step * d[i]
+    assert sum((c + 1) * dj for c, dj in zip(at, d)) == n * n
+    above = list(at)
+    above[d.index(1)] += 1
+
+    def refuse(*args):
+        raise AssertionError("wrong side of the cutoff")
+
+    with monkeypatch.context() as m:
+        m.setattr(repdim, "_value_counts", refuse)
+        assert dim_irrep(typ, at) == plain_weyl_product(typ, at)
+    monkeypatch.setattr(repdim, "_prime_powers", refuse)
+    assert dim_irrep(typ, above) == plain_weyl_product(typ, above)
+
+
+def test_prime_powers_match_trial_division():
+    """_prime_powers lists every prime power q <= limit in order, with its
+    prime, as trial division finds them."""
+
+    def least_prime(q):
+        return next(p for p in range(2, q + 1) if q % p == 0)
+
+    def prime_power(q):
+        p = least_prime(q)
+        while q % p == 0:
+            q //= p
+        return q == 1
+
+    for limit in (1, 2, 3, 4, 64, 4096):
+        qs = [q for q in range(2, limit + 1) if prime_power(q)]
+        assert _prime_powers(limit) == (qs, [least_prime(q) for q in qs])
 
 
 def test_dimension_at_the_weight_ceiling_stays_small():
