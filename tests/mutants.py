@@ -45,6 +45,7 @@ REPDIM = "tests/test_repdim.py::"
 PARABOLIC = "tests/test_parabolic.py::"
 INVARIANTS = "tests/test_invariants.py::"
 CLI = "tests/test_cli.py::"
+DEEP = "tests/deep.py::test_deep"
 
 MUTANTS = (
     Mutant(
@@ -81,7 +82,11 @@ MUTANTS = (
         "src/minorb/rootsys.py",
         "suf[1 : last + 1]",
         "suf[1:last]",
-        (ROOTS + "test_root_order_values_are_dot_products", "tests/test_repdim.py"),
+        (
+            ROOTS + "test_root_order_values_are_dot_products",
+            REPDIM + "test_pinned_dimensions",
+            REPDIM + "test_trivial_and_weyl_vector",
+        ),
     ),
     Mutant(
         "_height_pass steps up only when p_i > <beta, coroot_i> + 1",
@@ -163,6 +168,7 @@ MUTANTS = (
             INVARIANTS + "test_smooth_fundamentals",
             PARABOLIC + "test_smoothness_matches_the_weyl_route_on_fundamentals",
             PARABOLIC + "test_smoothness_matches_the_weyl_route_on_sparse_weights",
+            DEEP + "[test_smooth_fundamentals-C128]",
         ),
     ),
     Mutant(

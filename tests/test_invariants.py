@@ -553,3 +553,18 @@ def test_m_from_the_hilbert_function(typ):
         assert dim_min_orbit(typ, omega) == degrees[-1] + 1
     m = min(degrees) + 1
     assert compute_m(typ) == (m, m - 1, tuple(i for i, v in enumerate(degrees, 1) if v + 1 == m))
+
+
+def test_deep_checks_run_tier_1_functions_on_further_types():
+    """tests/deep.py runs tier-1 test functions past tier-1's types: each
+    entry names a test function of its module, none of its types is in that
+    function's own parametrization, and its A-D ranks are multiples of
+    MAX_RANK.  A renamed or widened tier-1 test fails here, not only in CI."""
+    import deep  # deep imports this module, so not at the top
+
+    for module, name, ranks, further in deep.DEEP:
+        check = getattr(module, name, None)
+        assert name.startswith("test_") and callable(check), name
+        (mark,) = [m for m in check.pytestmark if m.name == "parametrize"]
+        assert not set(deep.deep_types(ranks, further)) & set(mark.args[1]), name
+        assert all(n % MAX_RANK == 0 for n in ranks), name
