@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .parabolic import LeviData, _u_mask, levi_data, support_masks
+from .repdim import Weight
 from .rootsys import (
     Component,
     SimpleType,
@@ -30,8 +31,6 @@ from .rootsys import (
     positive_roots,
     root_columns,
 )
-
-Weight = tuple[int, ...]
 
 
 class GradingReport(NamedTuple):

@@ -16,10 +16,11 @@ values: with every power packed as a fixed-width digit of one int, each
 product is one integer multiplication, and no root is built or listed.
 That holds up to a cutoff, the simple values summing to at most rank**2,
 which keeps the ints within O(rank**2) digits; past it, and on E, F and G
-(rank at most 8), the pairings are listed and counted.  The cached counts
-of the rho pairings (the denominator, independent of the weight) are
-subtracted.  Below the cutoff the product is one power per prime power,
-with no division; past it the final division is checked to be exact.
+(rank at most 8), the pairings are listed and counted.  One cached count
+of the rho pairings (the denominator, independent of the weight, packed on
+A-D) is subtracted on both routes.  Below the cutoff the product is one
+power per prime power, with no division; past it the final division is
+checked to be exact.
 """
 
 from __future__ import annotations
@@ -27,9 +28,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Iterable
 from functools import lru_cache
-from itertools import chain, compress, repeat
+from itertools import compress
 from math import isqrt, prod
-from operator import sub
 
 from .rootsys import SimpleType, _packed_counts, _value_counts, checked_weight, symmetrizers
 
@@ -51,9 +51,10 @@ def dim_irrep(typ: SimpleType, weight: Iterable[int]) -> int:
     """
     w = checked_weight(typ, weight)
     simple = [(c + 1) * dj for c, dj in zip(w, symmetrizers(typ))]
-    counts = _packed_counts(typ, simple)
-    if counts is not None:
-        net = list(map(sub, counts, chain(_rho_list(typ), repeat(0))))
+    net = _packed_counts(typ, simple)
+    if net is not None:  # the list reaches the weight's largest pairing, so rho's
+        for v, e in _rho_counts(typ).items():
+            net[v - 1] -= e
         qs, ps = _prime_powers(1 << len(net).bit_length())
         sums = [sum(net[q - 1 :: q]) for q in qs[: bisect_right(qs, len(net))]]
         if not sums or min(sums) >= 0:
@@ -70,16 +71,10 @@ def dim_irrep(typ: SimpleType, weight: Iterable[int]) -> int:
 
 
 @lru_cache(maxsize=None)
-def _rho_list(typ: SimpleType) -> list[int] | None:
-    """The packed counts of the values of (rho, beta), None on E, F and G."""
-    return _packed_counts(typ, symmetrizers(typ))
-
-
-@lru_cache(maxsize=None)
 def _rho_counts(typ: SimpleType) -> dict[int, int]:
-    """How often each value of (rho, beta) occurs among the positive roots."""
-    rho = _rho_list(typ)
-    return _value_counts(typ, symmetrizers(typ)) if rho is None else {v: c for v, c in enumerate(rho, 1) if c}
+    """How often each value of (rho, beta) occurs among the positive roots:
+    packed on A-D, whose simple values d_i sum to at most 2n - 1 <= n**2."""
+    return _value_counts(typ, symmetrizers(typ))
 
 
 @lru_cache(maxsize=None)

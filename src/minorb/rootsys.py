@@ -179,15 +179,15 @@ def positive_roots(typ: SimpleType) -> tuple[Vector, ...]:
     output on A-D.  A-D write theirs down in root order, each root a slice
     of a pattern tuple: within one height, the later the first nonzero
     node, the earlier the root.  A_n's roots are _segment_roots(n), the runs
-    of ones.  B, C and D add Bourbaki's sums (Plates II-IV): s zeros, L
-    ones (L >= 1, or >= 0 on C), at least one 2, then a tail, empty on B,
-    (1,) on C and (1, 1) on D.  At each height the sums start later than
-    the runs of ones, so they come first, by start descending, then A's
-    block of that height.  D has no alpha_(n-1) + alpha_n, and puts each
-    fork root, ones on [n - 1 - h, n - 2) plus node n, just before the run
-    of ones with its start.  So A-D of one rank share their run-of-ones
-    tuples, and a miss here counts the roots returned (bench/spans.py's
-    roots_built), not the tuples made.
+    of ones.  B, C and D add Bourbaki's sums (Plates II-IV), with (first,
+    _, m) from _suffix_shape: s zeros, L >= first ones, at least one 2,
+    then n - m ones.  At each height the sums start later than the runs of
+    ones, so they come first, by start descending, then A's block of that
+    height.  D has no alpha_(n-1) + alpha_n, and puts each fork root, ones
+    on [n - 1 - h, n - 2) plus node n, just before the run of ones with its
+    start.  So A-D of one rank share their run-of-ones tuples, and a miss
+    here counts the roots returned (bench/spans.py's roots_built), not the
+    tuples made.
     """
     n = typ.rank
     if typ.family not in _RANK_MIN:
@@ -195,8 +195,8 @@ def positive_roots(typ: SimpleType) -> tuple[Vector, ...]:
     segments = _segment_roots(n)
     if typ.family == "A":
         return segments
-    tail, least = {"B": ((), 1), "C": ((1,), 0), "D": ((1, 1), 1)}[typ.family]
-    k = len(tail)
+    least, _, m = _suffix_shape(typ)[1]
+    k, tail = n - m, (1,) * (n - m)
     top = 2 * n - k - least  # a sum's height is 2(n - s) - L - k, so L >= least iff 2s <= top - h
     pats = [(0,) * n + (1,) * ones + (2,) * n for ones in range(n)]
     fork = (0,) * (n - 2) + (1,) * (n - 2)
@@ -262,26 +262,29 @@ def _units(n: int) -> list[int]:
     return [1 << 8 * (n - 1 - i) for i in range(n)]
 
 
-def _suffix_form(typ: SimpleType, simple: Sequence[int]) -> list[int]:
-    """A linear form on every A-D positive root, from suffix sums, in
-    enumeration order (not root order).
+def _value_multiset(typ: SimpleType, simple: Sequence[int]) -> list[int]:
+    """A linear form on every positive root, in no fixed order, from its
+    values on the simple roots.  E, F and G, with at most 120 roots of rank
+    at most 8, take one dot product per root.
 
-    With suf[i] = simple[i] + ... + simple[n - 1] (0-based node i on;
-    suf[n] = 0), the positive roots are the epsilon_i -+ epsilon_j of
-    Bourbaki's Plates I-IV (Lie Groups and Lie Algebras, Ch. VI): the
-    segments suf[i] - suf[j], i < j <= n (j <= n - 1 for D), then for B, C,
-    D the sums suf[i] - suf[m] + suf[j], with m = n, n - 1, n - 2 and j
-    from i + 1, i, i + 1 up to n - 1, n - 2, n - 1.  The segments go
-    j-major (j = 1, 2, ..., and i = 0 .. j - 1 within each j); no caller
-    relies on the order.  A form is additive, so these are its values
-    whatever it is: the heights on all ones, a Weyl pairing on its
-    simple-root values.
+    A-D read suffix sums, in enumeration order (not root order).  With
+    suf[i] = simple[i] + ... + simple[n - 1] (0-based node i on; suf[n] =
+    0), the positive roots are the epsilon_i -+ epsilon_j of Bourbaki's
+    Plates I-IV (Lie Groups and Lie Algebras, Ch. VI): the segments suf[i]
+    - suf[j], i < j <= end, then for B, C, D the sums suf[i] - suf[m] +
+    suf[j], j from i + first to last, with end and (first, last, m) from
+    _suffix_shape.  The segments go j-major (j = 1, 2, ..., and i = 0 ..
+    j - 1 within each j); no caller relies on the order.  A form is
+    additive, so these are its values whatever it is: the heights on all
+    ones, a Weyl pairing on its simple-root values.
     """
+    if typ.family not in _RANK_MIN:
+        return [sum(map(mul, root, simple)) for root in positive_roots(typ)]
     suf = _suffix_sums(simple)
-    last = _segment_end(typ)
-    out = [si - sj for j, sj in enumerate(suf[1 : last + 1], 1) for si in suf[:j]]
-    if typ.family != "A":
-        first, last, m = _sum_bounds(typ)
+    end, sums = _suffix_shape(typ)
+    out = [si - sj for j, sj in enumerate(suf[1 : end + 1], 1) for si in suf[:j]]
+    if sums:
+        first, last, m = sums
         bases = [si - suf[m] for si in suf[: typ.rank]]
         out += [b + sj for i, b in enumerate(bases) for sj in suf[i + first : last + 1]]
     return out
@@ -292,25 +295,13 @@ def _suffix_sums(simple: Sequence[int]) -> list[int]:
     return list(accumulate(reversed(simple), initial=0))[::-1]
 
 
-def _segment_end(typ: SimpleType) -> int:
-    """The largest j of the segments suf[i] - suf[j] of an A-D type."""
-    return typ.rank - 1 if typ.family == "D" else typ.rank
-
-
-def _sum_bounds(typ: SimpleType) -> tuple[int, int, int]:
-    """(first, last, m) of the sums suf[i] - suf[m] + suf[j] of B, C or D,
-    j running from i + first to last."""
+def _suffix_shape(typ: SimpleType) -> tuple[int, tuple[int, int, int] | None]:
+    """The shape of A-D's positive roots in suffix sums (Plates I-IV): the
+    largest j of the segments suf[i] - suf[j], and (first, last, m) of the
+    sums suf[i] - suf[m] + suf[j], j from i + first to last, None on A."""
     n = typ.rank
-    return {"B": (1, n - 1, n), "C": (0, n - 2, n - 1), "D": (1, n - 1, n - 2)}[typ.family]
-
-
-def _value_multiset(typ: SimpleType, simple: Sequence[int]) -> list[int]:
-    """A linear form on every positive root, in no fixed order, from its
-    values on the simple roots: the suffix form itself for A-D; E, F and G,
-    with at most 120 roots of rank at most 8, take one dot product per root."""
-    if typ.family in _RANK_MIN:
-        return _suffix_form(typ, simple)
-    return [sum(map(mul, root, simple)) for root in positive_roots(typ)]
+    sums = {"B": (1, n - 1, n), "C": (0, n - 2, n - 1), "D": (1, n - 1, n - 2)}.get(typ.family)
+    return (n - 1 if typ.family == "D" else n), sums
 
 
 def _value_counts(typ: SimpleType, simple: Sequence[int]) -> dict[int, int]:
@@ -328,7 +319,7 @@ def _packed_counts(typ: SimpleType, simple: Sequence[int]) -> list[int] | None:
 
     On A-D, for a positive form whose simple values sum to at most n**2 (the
     cutoff), the counts are polynomial coefficients.  The suffix sums suf of
-    _suffix_form are then distinct.  With S = sum x**suf[i] over the
+    _value_multiset are then distinct.  With S = sum x**suf[i] over the
     segments' indices, v occurs among the segments as often as x**(suf[0] +
     v) in S(x) * x**suf[0] * S(1/x); with P the same sum over i <= last, it
     occurs among the sums as often as x**(suf[m] + v) in (P(x)**2 -+
@@ -346,11 +337,12 @@ def _packed_counts(typ: SimpleType, simple: Sequence[int]) -> list[int] | None:
     suf = _suffix_sums(simple)
     top = suf[0]
     width, code = next((w, c) for w, c in ((1, "B"), (2, "H"), (4, "I"), (8, "Q")) if 2 * n < 256**w)
-    seg = suf[: _segment_end(typ) + 1]
+    end, sums = _suffix_shape(typ)
+    seg = suf[: end + 1]
     product = _packed(seg, width, top + 1) * _packed([top - s for s in seg], width, top + 1)
     total = product >> 8 * width * (top + 1)  # digit k now counts the value k + 1
-    if typ.family != "A":
-        first, last, m = _sum_bounds(typ)
+    if sums:
+        first, last, m = sums
         p = _packed(suf[: last + 1], width, top + 1)
         doubled = _packed([2 * s for s in suf[: last + 1]], width, 2 * top + 1)
         square = p * p - doubled if first else p * p + doubled

@@ -78,10 +78,10 @@ MUTANTS = (
         (ROOTS + "test_positive_roots_fingerprint", ROOTS + "test_positive_roots_match_reflection_closure"),
     ),
     Mutant(
-        "_suffix_form's segments stop one short of j = last",
+        "_value_multiset's segments stop one short of j = end",
         "src/minorb/rootsys.py",
-        "suf[1 : last + 1]",
-        "suf[1:last]",
+        "suf[1 : end + 1]",
+        "suf[1:end]",
         (
             ROOTS + "test_root_order_values_are_dot_products",
             REPDIM + "test_pinned_dimensions",
@@ -126,12 +126,25 @@ MUTANTS = (
     Mutant(
         "dim_irrep's prime-power route subtracts no rho counts",
         "src/minorb/repdim.py",
-        "chain(_rho_list(typ), repeat(0))",
-        "repeat(0)",
+        "net[v - 1] -= e",
+        "net[v - 1] -= 0",
         (
             REPDIM + "test_pinned_dimensions",
             REPDIM + "test_trivial_and_weyl_vector",
             REPDIM + "test_dimension_routes_at_the_cutoff",
+        ),
+    ),
+    Mutant(
+        "dim_irrep's prime-power route subtracts rho one place late",
+        "src/minorb/repdim.py",
+        "net[v - 1] -= e",
+        "net[v] -= e",
+        (
+            REPDIM + "test_pinned_dimensions",
+            REPDIM + "test_trivial_and_weyl_vector",
+            REPDIM + "test_dimension_routes_at_the_cutoff",
+            REPDIM + "test_dimension_matches_plain_weyl_product",
+            REPDIM + "test_dimension_ignores_symmetrizer_scale",
         ),
     ),
     Mutant(

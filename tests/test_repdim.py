@@ -23,9 +23,9 @@ from minorb import (
     symmetrizers,
     table_types,
 )
-from minorb import repdim
+from minorb import repdim, rootsys
 from minorb.repdim import _prime_powers, _rho_counts
-from minorb.rootsys import _value_multiset
+from minorb.rootsys import _packed_counts, _value_multiset
 
 from util import ALL_TYPES, MAX_MODULES_BELOW, SMALL_TYPES, modules_below, weyl_vector
 
@@ -186,13 +186,20 @@ def test_net_counts_divisible_by_every_m_are_nonnegative(typ):
     """dim_irrep's premise: for every m >= 2, not only the prime powers, the
     values (lambda + rho, beta) divisible by m are at least as many as the
     values (rho, beta) divisible by m.  Both are counted from the value
-    lists, on seeded weights with entries 0-3 and every fundamental weight."""
+    lists, on seeded weights with entries 0-3 and every fundamental weight.
+    dim_irrep subtracts the rho counts in place from a packed list, so
+    each packed list must reach rho's largest value, on rho and on every
+    weight below the cutoff."""
     rng = random.Random(f"net counts {typ}")
     n, d = typ.rank, symmetrizers(typ)
     rho = Counter(_value_multiset(typ, d))
     weights = [[rng.randint(0, 3) for _ in range(n)] for _ in range(3)]
+    assert len(_packed_counts(typ, d)) >= max(_rho_counts(typ))
     for w in weights + [fund(typ, i) for i in range(1, n + 1)]:
-        counts = Counter(_value_multiset(typ, [(c + 1) * dj for c, dj in zip(w, d)]))
+        simple = [(c + 1) * dj for c, dj in zip(w, d)]
+        packed = _packed_counts(typ, simple)
+        assert packed is None or len(packed) >= max(_rho_counts(typ)), w
+        counts = Counter(_value_multiset(typ, simple))
         counts.subtract(rho)
         net = [0] * (max(counts) + 1)
         for v, e in counts.items():
@@ -204,8 +211,8 @@ def test_net_counts_divisible_by_every_m_are_nonnegative(typ):
 def test_dimension_routes_at_the_cutoff(typ, monkeypatch):
     """A weight whose simple values (w_i + 1) * d_i sum to exactly rank**2
     takes the prime-power route and one more the value-list route (each
-    route's helper is made to fail on the other's call); both must give the
-    plain Weyl product."""
+    route's helper is made to fail on the other's call: no pairing may be
+    listed below the cutoff); both must give the plain Weyl product."""
     n, d = typ.rank, symmetrizers(typ)
     rng = random.Random(f"dimension cutoff {typ}")
     at, left = [0] * n, n * n - sum(d)
@@ -222,7 +229,7 @@ def test_dimension_routes_at_the_cutoff(typ, monkeypatch):
         raise AssertionError("wrong side of the cutoff")
 
     with monkeypatch.context() as m:
-        m.setattr(repdim, "_value_counts", refuse)
+        m.setattr(rootsys, "_value_multiset", refuse)
         assert dim_irrep(typ, at) == plain_weyl_product(typ, at)
     monkeypatch.setattr(repdim, "_prime_powers", refuse)
     assert dim_irrep(typ, above) == plain_weyl_product(typ, above)

@@ -248,7 +248,7 @@ def reflection_closure(typ):
     return roots
 
 
-# C2 and D3 keep their own numbering, the edge cases of _suffix_form
+# C2 and D3 keep their own numbering, the edge cases of _suffix_shape
 NONCANONICAL = [SimpleType("C", 2), SimpleType("D", 3)]
 
 
