@@ -15,23 +15,24 @@ a product of polynomials in x, sum x**suf[i] over the suffix sums of those
 values: with every power packed as a fixed-width digit of one int, each
 product is one integer multiplication, and no root is built or listed.
 That holds up to a cutoff, the simple values summing to at most rank**2,
-which keeps the ints within O(rank**2) digits; past it, and on E, F and G
-(rank at most 8), the pairings are listed and counted.  One cached count
-of the rho pairings (the denominator, independent of the weight, packed on
-A-D) is subtracted on both routes.  Below the cutoff the product is one
-power per prime power, with no division; past it the final division is
-checked to be exact.
+which keeps the ints within O(rank**2) digits; rootsys._packed_counts
+alone holds it.  Past it, and on E, F and G (rank at most 8), the
+pairings are listed and counted here.  One cached count of the rho
+pairings (the denominator, independent of the weight, packed on A-D) is
+subtracted on both routes.  Below the cutoff the product is one power
+per prime power, with no division; past it the division is checked.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from collections.abc import Iterable
 from functools import lru_cache
 from itertools import compress
 from math import isqrt, prod
 
-from .rootsys import SimpleType, _packed_counts, _value_counts, checked_weight, symmetrizers
+from .rootsys import SimpleType, _packed_counts, _value_multiset, checked_weight, symmetrizers
 
 Weight = tuple[int, ...]
 
@@ -60,9 +61,8 @@ def dim_irrep(typ: SimpleType, weight: Iterable[int]) -> int:
         if not sums or min(sums) >= 0:
             return prod(map(pow, ps, sums))
     else:
-        powers = _value_counts(typ, simple)
-        for v, e in _rho_counts(typ).items():
-            powers[v] = powers.get(v, 0) - e
+        powers = Counter(_value_multiset(typ, simple))
+        powers.subtract(_rho_counts(typ))
         num = prod(v**e for v, e in powers.items() if e > 0)
         q, r = divmod(num, prod(v**-e for v, e in powers.items() if e < 0))
         if not r:
@@ -73,8 +73,12 @@ def dim_irrep(typ: SimpleType, weight: Iterable[int]) -> int:
 @lru_cache(maxsize=None)
 def _rho_counts(typ: SimpleType) -> dict[int, int]:
     """How often each value of (rho, beta) occurs among the positive roots:
-    packed on A-D, whose simple values d_i sum to at most 2n - 1 <= n**2."""
-    return _value_counts(typ, symmetrizers(typ))
+    packed on A-D, whose d_i sum to at most 2n - 1 <= n**2, else listed."""
+    d = symmetrizers(typ)
+    packed = _packed_counts(typ, d)
+    if packed is None:
+        return Counter(_value_multiset(typ, d))
+    return {v: c for v, c in enumerate(packed, 1) if c}
 
 
 @lru_cache(maxsize=None)

@@ -23,9 +23,10 @@ of Dynkin subdiagrams.  Conventions fixed once, for every other module:
   roots (a Weyl pairing, say), as their differences and sums, in no fixed
   order, with no root built.  The count of each value is a polynomial
   coefficient, of sum x**suf[i] times its reverse or of its square, and
-  _packed_counts lists them off one integer product each while the simple
-  values sum to at most n**2; past that cutoff _value_counts counts the
-  listed values.  E, F and G take one dot product per root.
+  _packed_counts, whose guard alone holds the cutoff, lists them off one
+  integer product each while the simple values sum to at most n**2; past
+  it callers count the listed values.  E, F and G take one dot product per
+  root.
 * Each family's diagram is written once, as its edges and the root length
   ``d_i`` of each node: the symmetrizers, minimal positive integers making
   ``cartan * diag(d)`` symmetric.  A bond p - q has Cartan entries
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 import re
 import sys
-from collections import Counter
 from functools import lru_cache
 from itertools import accumulate, chain, permutations
 from operator import add, index, mul
@@ -57,7 +57,7 @@ MAX_RANK = 64
 # Largest weight entry, in absolute value, that the command line accepts:
 # `minorb minorbit D64` with every entry at the ceiling prints a 36,289-digit
 # dimension in 0.11-0.16 s, measured the same way; its Weyl pairings are
-# past _value_counts' cutoff, so they are listed, not packed.
+# past _packed_counts' cutoff, so they are listed, not packed.
 MAX_WEIGHT_ENTRY = 10**9
 # Longest user text an error message quotes in full.
 MAX_QUOTED = 60
@@ -304,18 +304,10 @@ def _suffix_shape(typ: SimpleType) -> tuple[int, tuple[int, int, int] | None]:
     return (n - 1 if typ.family == "D" else n), sums
 
 
-def _value_counts(typ: SimpleType, simple: Sequence[int]) -> dict[int, int]:
-    """How often each value of a linear form occurs among the positive roots,
-    as a new dict, from its values on the simple roots (see _packed_counts)."""
-    counts = _packed_counts(typ, simple)
-    if counts is None:
-        return Counter(_value_multiset(typ, simple))
-    return {v: c for v, c in enumerate(counts, 1) if c}
-
-
 def _packed_counts(typ: SimpleType, simple: Sequence[int]) -> list[int] | None:
-    """_value_counts' counts as a list whose entry v - 1 counts v, or None on
-    E, F and G and for every form but those packed below.
+    """How often each value of a linear form occurs among the positive roots,
+    as a list whose entry v - 1 counts v; None on E, F and G and past the
+    cutoff, where callers count _value_multiset.
 
     On A-D, for a positive form whose simple values sum to at most n**2 (the
     cutoff), the counts are polynomial coefficients.  The suffix sums suf of

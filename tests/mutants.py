@@ -96,21 +96,21 @@ MUTANTS = (
         (ROOTS + "test_height_pass_agrees_with_the_closed_forms", ROOTS + "test_positive_roots_fingerprint"),
     ),
     Mutant(
-        "_value_counts packs a form whose simple values sum to exactly n**2 no more",
+        "_packed_counts packs a form whose simple values sum to exactly n**2 no more",
         "src/minorb/rootsys.py",
         "sum(simple) > n * n:",
         "sum(simple) >= n * n:",
         (ROOTS + "test_value_counts_cutoff",),
     ),
     Mutant(
-        "_value_counts packs a form whose simple values sum to n**2 + 1",
+        "_packed_counts packs a form whose simple values sum to n**2 + 1",
         "src/minorb/rootsys.py",
         "sum(simple) > n * n:",
         "sum(simple) > n * n + 1:",
         (ROOTS + "test_value_counts_cutoff",),
     ),
     Mutant(
-        "_value_counts takes the pairs i <= j for B and D and i < j for C",
+        "_packed_counts takes the pairs i <= j for B and D and i < j for C",
         "src/minorb/rootsys.py",
         "square = p * p - doubled if first else p * p + doubled",
         "square = p * p + doubled if first else p * p - doubled",
@@ -119,8 +119,8 @@ MUTANTS = (
     Mutant(
         "dim_irrep subtracts no rho counts",
         "src/minorb/repdim.py",
-        "powers[v] = powers.get(v, 0) - e",
-        "powers[v] = powers.get(v, 0)",
+        "        powers.subtract(_rho_counts(typ))\n",
+        "",
         (REPDIM + "test_pinned_dimensions", REPDIM + "test_trivial_and_weyl_vector"),
     ),
     Mutant(
@@ -164,6 +164,13 @@ MUTANTS = (
             REPDIM + "test_pinned_dimensions",
             REPDIM + "test_dimension_routes_at_the_cutoff",
         ),
+    ),
+    Mutant(
+        "__all__ keeps the submodules",
+        "src/minorb/__init__.py",
+        'name[0] == "_" or isinstance(value, _Module)',
+        'name[0] == "_"',
+        (INVARIANTS + "test_public_api",),
     ),
     Mutant(
         "_natural_nodes leaves out A's omega_n",

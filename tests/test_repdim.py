@@ -5,6 +5,7 @@ import random
 import tracemalloc
 from collections import Counter
 from itertools import product
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +24,7 @@ from minorb import (
     symmetrizers,
     table_types,
 )
-from minorb import repdim, rootsys
+from minorb import repdim
 from minorb.repdim import _prime_powers, _rho_counts
 from minorb.rootsys import _packed_counts, _value_multiset
 
@@ -157,12 +158,12 @@ def plain_weyl_product(typ, w, scale=1):
     """The Weyl product read off every coordinate of every positive root,
     with the invariant form scaled by scale."""
     d = [scale * dj for dj in symmetrizers(typ)]
-    num = den = 1
-    for beta in positive_roots(typ):
-        num *= sum((w[j] + 1) * c * d[j] for j, c in enumerate(beta))
-        den *= sum(c * d[j] for j, c in enumerate(beta))
-    assert num % den == 0
-    return num // den
+    a = [(c + 1) * dj for c, dj in zip(w, d)]
+    roots = positive_roots(typ)
+    num = math.prod(sum(map(mul, beta, a)) for beta in roots)
+    q, r = divmod(num, math.prod(sum(map(mul, beta, d)) for beta in roots))
+    assert r == 0
+    return q
 
 
 @settings(deadline=None)
@@ -229,7 +230,7 @@ def test_dimension_routes_at_the_cutoff(typ, monkeypatch):
         raise AssertionError("wrong side of the cutoff")
 
     with monkeypatch.context() as m:
-        m.setattr(rootsys, "_value_multiset", refuse)
+        m.setattr(repdim, "_value_multiset", refuse)
         assert dim_irrep(typ, at) == plain_weyl_product(typ, at)
     monkeypatch.setattr(repdim, "_prime_powers", refuse)
     assert dim_irrep(typ, above) == plain_weyl_product(typ, above)
@@ -255,7 +256,7 @@ def test_prime_powers_match_trial_division():
 
 def test_dimension_at_the_weight_ceiling_stays_small():
     """Every entry of a D64 weight at MAX_WEIGHT_ENTRY puts the form far past
-    _value_counts' cutoff, so the pairings are counted from their list, in
+    _packed_counts' cutoff, so the pairings are counted from their list, in
     well under a few MB, not from polynomials of 10**11 digits.  The plain
     Weyl product checks the dimension."""
     typ, w = SimpleType("D", 64), (MAX_WEIGHT_ENTRY,) * 64

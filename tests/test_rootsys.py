@@ -380,6 +380,17 @@ def test_height_pass_agrees_with_the_closed_forms(typ):
     assert codes == rootsys._height_pass(typ)
 
 
+def check_packed_counts(typ, simple):
+    """_packed_counts counts _value_multiset's values where its cutoff rule
+    packs, on A-D for a positive form whose simple values sum to at most
+    rank**2, and is None exactly elsewhere."""
+    packed = rootsys._packed_counts(typ, simple)
+    if typ.family in "EFG" or min(simple) <= 0 or sum(simple) > typ.rank**2:
+        assert packed is None
+    else:
+        assert Counter(dict(enumerate(packed, 1))) == Counter(rootsys._value_multiset(typ, simple))
+
+
 @pytest.mark.parametrize(
     "typ",
     table_types(24) + NONCANONICAL + [SimpleType(f, n) for n in (40, 56, 64) for f in "ABCD"],
@@ -388,8 +399,9 @@ def test_height_pass_agrees_with_the_closed_forms(typ):
 def test_root_order_values_are_dot_products(typ):
     """_value_multiset gives a linear form on every root, in any order; the
     reference takes each root's dot product with the form, on rho and on
-    seeded forms with entries of either sign.  _value_counts counts the
-    same multiset, on rho and on seeded positive forms."""
+    seeded forms with entries of either sign.  _packed_counts counts the
+    same multiset, or is None, by its cutoff rule, on rho and on seeded
+    positive forms."""
     rng = random.Random(f"root values {typ}")
     forms = [symmetrizers(typ)] + [
         [rng.randint(-9, 9) for _ in range(typ.rank)] for _ in range(3)
@@ -400,7 +412,7 @@ def test_root_order_values_are_dot_products(typ):
         assert sorted(rootsys._value_multiset(typ, simple)) == sorted(dots)
     positive = [[rng.randint(1, 9) for _ in range(typ.rank)] for _ in range(2)]
     for simple in forms[:1] + positive:
-        assert rootsys._value_counts(typ, simple) == Counter(rootsys._value_multiset(typ, simple))
+        check_packed_counts(typ, simple)
 
 
 @pytest.mark.parametrize(
@@ -413,8 +425,8 @@ def test_suffix_sums_give_the_ancestry_walk_values(typ):
     """A-D read a linear form's values off suffix sums; a walk down the
     reference ancestry gives them in root order.  _value_multiset must give
     the walk's multiset, on rho and on seeded forms with entries of either
-    sign or positive, and _value_counts must count it on rho and on the
-    positive forms."""
+    sign or positive, and _packed_counts must count it, or be None, by its
+    cutoff rule, on rho and on the positive forms."""
     rng = random.Random(f"suffix {typ}")
     forms = [symmetrizers(typ)] + [
         [rng.randint(-9, 9) for _ in range(typ.rank)] for _ in range(3)
@@ -427,7 +439,7 @@ def test_suffix_sums_give_the_ancestry_walk_values(typ):
             walk.append((walk[p] if p >= 0 else 0) + simple[i])
         assert sorted(rootsys._value_multiset(typ, simple)) == sorted(walk)
         if k == 0 or min(simple) > 0:  # rho and the positive forms
-            assert rootsys._value_counts(typ, simple) == Counter(rootsys._value_multiset(typ, simple))
+            check_packed_counts(typ, simple)
 
 
 @pytest.mark.parametrize(
@@ -438,12 +450,12 @@ def test_suffix_sums_give_the_ancestry_walk_values(typ):
     ids=str,
 )
 def test_value_counts_cutoff(typ, monkeypatch):
-    """On A-D, _value_counts multiplies packed polynomials for a positive
-    form whose simple values sum to at most rank**2, and counts
-    _value_multiset above that.  A seeded form summing to exactly rank**2
-    must take the first route and one more the second (each route's
-    helper is made to fail on the other's call), and both must give the
-    counts of _value_multiset.  Rank 128 packs two bytes per digit."""
+    """On A-D, _packed_counts multiplies packed polynomials for a positive
+    form whose simple values sum to at most rank**2, and returns None above
+    that.  A seeded form summing to exactly rank**2 must be packed, with
+    _value_multiset refused, into the counts of _value_multiset; one more
+    must give None, with the packing helper refused.  Rank 128 packs two
+    bytes per digit."""
     n = typ.rank
     rng = random.Random(f"cutoff {typ}")
     at = [n] * n
@@ -454,16 +466,16 @@ def test_value_counts_cutoff(typ, monkeypatch):
         at[j] += step
     assert sum(at) == n * n and min(at) > 0
     above = at[:-1] + [at[-1] + 1]
-    expected = [Counter(rootsys._value_multiset(typ, form)) for form in (at, above)]
+    expected = Counter(rootsys._value_multiset(typ, at))
 
     def refuse(*args):
         raise AssertionError("wrong side of the cutoff")
 
     with monkeypatch.context() as m:
         m.setattr(rootsys, "_value_multiset", refuse)
-        assert rootsys._value_counts(typ, at) == expected[0]
+        assert Counter(dict(enumerate(rootsys._packed_counts(typ, at), 1))) == expected
     monkeypatch.setattr(rootsys, "_packed", refuse)
-    assert rootsys._value_counts(typ, above) == expected[1]
+    assert rootsys._packed_counts(typ, above) is None
 
 
 def test_weyl_dimensions_on_a_d_build_no_ancestry():
