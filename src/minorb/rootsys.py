@@ -31,17 +31,13 @@ of Dynkin subdiagrams.  Conventions fixed once, for every other module:
   ``d_i`` of each node: the symmetrizers, minimal positive integers making
   ``cartan * diag(d)`` symmetric.  A bond p - q has Cartan entries
   ``C[p][q] = -max(1, d_p // d_q)`` and ``C[q][p] = -max(1, d_q // d_p)``.
-* ``inverse_cartan`` eliminates in integers (Bareiss 1968): every entry met is
-  a minor of ``[C | I]`` (Sylvester's identity), so each division is exact;
-  each pivot is a leading minor of ``C``, positive as ``C * diag(d)`` is
-  positive definite, so no row needs a swap.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate, chain, permutations
 from operator import add, index, mul
 from typing import Iterable, NamedTuple, Sequence
@@ -437,23 +433,27 @@ def _root_to_weight(typ: SimpleType, root: Vector) -> Vector:
 
 @lru_cache(maxsize=None)
 def inverse_cartan(typ: SimpleType) -> tuple[Matrix, int]:
-    """det(C) * C^{-1} as an integer matrix, and det(C), the last pivot of a
-    fraction-free Gauss-Jordan elimination on [C | I]: at pivot k every row
-    r != k becomes (p_k * row_r - C[r][k] * row_k) // p_(k-1), with p_(-1) = 1."""
-    n = typ.rank
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(cartan_matrix(typ))]
-    prev = 1
-    for k, pivot_row in enumerate(aug):
-        if (p := pivot_row[k]) <= 0:
-            raise RuntimeError(f"leading minor {k + 1} of the Cartan matrix of {typ} is {p} <= 0")
-        for r, row in enumerate(aug):
-            if r != k:
-                new = [p * x - row[k] * y for x, y in zip(row, pivot_row)]
-                if any(x % prev for x in new):
-                    raise RuntimeError(f"leading minor {k} of {typ} divides with a remainder")
-                aug[r] = [x // prev for x in new]
-        prev = p
-    return tuple(tuple(row[n:]) for row in aug), prev
+    """det(C) * C^{-1} as an integer matrix, and det(C), read off the Dynkin tree:
+    entry (i, j) is the product of -C[v][u] over the steps u -> v of the path
+    from j to i, times the determinant branch[x][y] of each branch off the path,
+    the component of the diagram less x that holds y.  A step divides out two,
+    each a factor of the entry it divides, so no division leaves a remainder."""
+    n, a = typ.rank, cartan_matrix(typ)
+    branch, out = [{} for _ in range(n)], [[0] * n for _ in range(n)]
+    for u in range(n):
+        for c in _components(typ, ((1 << n) - 1) ^ (1 << u)):
+            branch[u][next(w - 1 for w in c.nodes if a[u][w - 1])] = _det(c.typ)
+        out[u][u] = reduce(mul, branch[u].values(), 1)
+    for j in range(n):
+        for u, v in (steps := [(j, v) for v in branch[j]]):
+            out[v][j] = out[u][j] // branch[u][v] * -a[v][u] * (out[v][v] // branch[v][u])
+            steps += [(v, w) for w in branch[v] if w != u]
+    return tuple(map(tuple, out)), _det(typ)
+
+
+def _det(typ: SimpleType) -> int:
+    """The determinant of typ's Cartan matrix (Bourbaki, Plates I-IX)."""
+    return {"A": typ.rank + 1, "B": 2, "C": 2, "D": 4, "E": 9 - typ.rank}.get(typ.family, 1)
 
 
 class Component(NamedTuple):

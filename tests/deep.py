@@ -7,10 +7,11 @@ lacks.
 Pytest's default collection (test_*.py) does not pick up this file.  Every
 A-D rank is a multiple of MAX_RANK, the command line's ceiling: twice and
 three times it for the roots, their values, Weyl dimensions and
-smoothness, twice it for d against every pair, and MAX_RANK itself for m
-by finite differences of Weyl dimensions.  Only modules are imported: a
-test function imported here would be collected again with its tier-1
-parameters.  test_invariants checks that DEEP keeps up with tier-1.
+smoothness, twice it for d against every pair and for the inverse Cartan
+matrix, and MAX_RANK itself for m by finite differences of Weyl
+dimensions.  Only modules are imported: a test function imported here
+would be collected again with its tier-1 parameters.  test_invariants
+checks that DEEP keeps up with tier-1.
 """
 
 import inspect
@@ -42,6 +43,11 @@ DEEP = (
         tuple(t for t in table_types(24) if t.rank > 16),
     ),
     (test_invariants, "test_winner_certificates_match_every_pair_evaluation", RANKS[:1], ()),
+    # not at 3x: its frac_det oracle and reference elimination are O(n^3) (2.8 and
+    # 0.6 s of the 3.2-3.3 s it takes a type at 128), so about 11 s a type at 192,
+    # and four of those would take the rank-192 group (16.7-18.4 s) past its CI
+    # step's timeout of 60 s
+    (test_rootsys, "test_inverse_cartan_identity", RANKS[:1], ()),
 )
 
 

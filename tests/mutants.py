@@ -117,6 +117,13 @@ MUTANTS = (
         (ROOTS + "test_value_counts_cutoff", REPDIM + "test_pinned_dimensions"),
     ),
     Mutant(
+        "inverse_cartan reads a path step the wrong way",
+        "src/minorb/rootsys.py",
+        "-a[v][u]",
+        "-a[u][v]",
+        (ROOTS + "test_inverse_cartan_identity[B3]", ROOTS + "test_inverse_cartan_fingerprint[B3]"),
+    ),
+    Mutant(
         "dim_irrep subtracts no rho counts",
         "src/minorb/repdim.py",
         "        powers.subtract(_rho_counts(typ))\n",

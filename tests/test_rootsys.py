@@ -35,7 +35,14 @@ from minorb import (
 )
 from minorb import rootsys
 from minorb.repdim import _rho_counts
-from util import ALL_TYPES, MID_TYPES, components_by_matrix, dim_closed_form, weight_by_matrix
+from util import (
+    ALL_TYPES,
+    MID_TYPES,
+    components_by_matrix,
+    dim_closed_form,
+    inverse_cartan_by_elimination,
+    weight_by_matrix,
+)
 
 E6, E7, E8 = SimpleType("E", 6), SimpleType("E", 7), SimpleType("E", 8)
 F4, G2 = SimpleType("F", 4), SimpleType("G", 2)
@@ -665,11 +672,11 @@ def test_inverse_cartan_a3_against_local_elimination():
 )
 def test_inverse_cartan_refuses_a_nonpositive_leading_minor(monkeypatch, matrix):
     """The singular affine A1 matrix and an indefinite one have leading minor 2
-    equal to 0 and -5: the elimination raises RuntimeError, not an assert that
-    python -O would drop."""
+    equal to 0 and -5: the reference elimination raises RuntimeError, not an
+    assert that python -O would drop.  inverse_cartan itself has no pivot."""
     monkeypatch.setattr(rootsys, "cartan_matrix", lambda typ: matrix)
     with pytest.raises(RuntimeError, match="leading minor 2 of the Cartan matrix of A2 is"):
-        inverse_cartan.__wrapped__(SimpleType("A", 2))
+        inverse_cartan_by_elimination(SimpleType("A", 2))
 
 
 @pytest.mark.parametrize("typ", ALL_TYPES, ids=str)
@@ -682,6 +689,7 @@ def test_inverse_cartan_identity(typ):
             got = sum(a[i][k] * mat[k][j] for k in range(n))
             assert got == (det if i == j else 0)
     assert det == int(frac_det(a))
+    assert (mat, det) == inverse_cartan_by_elimination(typ)
 
 
 def test_components_e8_drop_7():

@@ -25,6 +25,7 @@ from minorb import (
     sukhanov_refined,
     table_types,
 )
+from minorb import rootsys
 from minorb.invariants import DResult
 from minorb.parabolic import support_masks
 from minorb.rootsys import checked_nodes
@@ -232,6 +233,35 @@ def weight_by_matrix(typ: SimpleType, root) -> tuple[int, ...]:
     a = cartan_matrix(typ)
     n = typ.rank
     return tuple(sum(a[j][i] * root[j] for j in range(n)) for i in range(n))
+
+
+def inverse_cartan_by_elimination(typ: SimpleType):
+    """det(C) * C^{-1} and det(C) by fraction-free Gauss-Jordan elimination
+    on [C | I] (Bareiss 1968).
+
+    The reference route for inverse_cartan, which reads the Dynkin tree.  At
+    pivot k every row r != k becomes (p_k * row_r - C[r][k] * row_k) //
+    p_(k-1), with p_(-1) = 1, so each entry met is a minor of [C | I]
+    (Sylvester's identity) and the last pivot is det(C).  Each pivot is a
+    leading minor of C, positive as C * diag(d) is positive definite, and a
+    pivot <= 0 or a division with a remainder raises RuntimeError.  The
+    matrix is read as rootsys.cartan_matrix, so a monkeypatch reaches it.
+    O(n^3) big-int steps.
+    """
+    n, a = typ.rank, rootsys.cartan_matrix(typ)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    prev = 1
+    for k, pivot_row in enumerate(aug):
+        if (p := pivot_row[k]) <= 0:
+            raise RuntimeError(f"leading minor {k + 1} of the Cartan matrix of {typ} is {p} <= 0")
+        for r, row in enumerate(aug):
+            if r != k:
+                new = [p * x - row[k] * y for x, y in zip(row, pivot_row)]
+                if any(x % prev for x in new):
+                    raise RuntimeError(f"leading minor {k} of {typ} divides with a remainder")
+                aug[r] = [x // prev for x in new]
+        prev = p
+    return tuple(tuple(row[n:]) for row in aug), prev
 
 
 def v_alpha_by_dual_weight(typ: SimpleType, node: int):
