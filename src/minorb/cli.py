@@ -89,11 +89,7 @@ def _int(text: str, what: str, low: int, high: int) -> int:
 @contextmanager
 def _all_digits():
     """Lift Python's int-to-str digit limit: exact dimensions may be longer."""
-    limit = getattr(sys, "get_int_max_str_digits", None)  # from Python 3.10.7
-    if limit is None:
-        yield
-        return
-    old = limit()
+    old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
         yield
@@ -438,50 +434,29 @@ def _parse(argv: list[str]) -> tuple[str, dict]:
 
 
 def _help(command: str | None):
-    """Print the help of command, or minorb's for None, in the layout of
-    argparse 3.10-3.12 at the terminal width, and exit 0."""
-    import shutil
-    import textwrap
+    """Print the help of command, or minorb's for None, as argparse lays out
+    a parser built from _COMMANDS at the terminal width, and exit 0."""
+    import argparse
 
-    width = max(shutil.get_terminal_size().columns - 2, 1)
-    options = {"-h, --help": "show this help message and exit"}
     if command is None:
-        prog, choices = "minorb", "{" + ",".join(_COMMANDS) + "}"
         about = "Exact root-system combinatorics and minimal-orbit invariants."
-        positionals = {choices: "", **{"  " + n: e[1] for n, e in _COMMANDS.items()}}
+        parser = argparse.ArgumentParser(prog="minorb", description=about)
+        subparsers = parser.add_subparsers()
+        for name, entry in _COMMANDS.items():
+            subparsers.add_parser(name, help=entry[1])
+        # two positionals, as 3.13 keeps the subparsers' "{cartan,...} ..." unwrapped
+        usage = argparse.ArgumentParser(prog="minorb")
+        usage.add_argument("command", choices=_COMMANDS)
+        usage.add_argument("arguments", nargs=argparse.REMAINDER)
+        parser.usage = usage.format_usage().removeprefix("usage: ")
     else:
-        arguments, prog, about = _COMMANDS[command][2], f"minorb\xa0{command}", ""
-        options["--json"] = "emit a one-line JSON envelope"
-        options.update((a, text) for a, text in arguments.items() if a[0] == "-")
-        positionals = {a: text for a, text in arguments.items() if a[0] != "-"}
-    names = [choices, "..."] if command is None else list(positionals)
-    # the usage, wrapped as argparse wraps it: a no-break space keeps each part whole
-    flags = ["[-h]", *(f"[{o}]".replace(" ", "\xa0") for o in list(options)[1:])]
-
-    def wrap(parts, first=" " * 7, rest=" " * 7):
-        return textwrap.wrap(" ".join(parts), width, initial_indent=first, subsequent_indent=rest,
-                             break_long_words=False, break_on_hyphens=False)
-
-    lines = [" ".join(["usage:", prog, *flags, *names])]
-    if len(lines[0]) > width and 7 + len(prog) <= 0.75 * width:  # the parts follow prog
-        indent = " " * (8 + len(prog))
-        lines = wrap([prog, *flags], "usage: ", indent) + wrap(names, indent, indent)
-    elif len(lines[0]) > width:  # prog on a line of its own, then the parts
-        lines = wrap(flags + names)
-        lines = ["usage: " + prog] + (lines if len(lines) < 2 else wrap(flags) + wrap(names))
-    at = min(max(map(len, [*positionals, *options])) + 4, min(24, max(width - 20, 4)))
-
-    def entry(name, text):  # the text from column at, below the name if that is long
-        lines = [" " * at + line for line in textwrap.wrap(text, max(width - at, 11))]
-        if lines and len(name) <= at - 4:
-            name = name.ljust(at - 2) + lines.pop(0)[at:]
-        return "\n".join(["  " + name] + lines)
-
-    blocks = ["\n".join(lines).replace("\xa0", " "), textwrap.fill(about, max(width, 11))]
-    for title, entries in ("positional arguments:", positionals), ("options:", options):
-        blocks.append("\n".join([title, *(entry(*e) for e in entries.items())]))
+        parser = argparse.ArgumentParser(prog=f"minorb {command}")
+        parser.add_argument("--json", action="store_true", help="emit a one-line JSON envelope")
+        for argument, text in _COMMANDS[command][2].items():
+            flag, _, metavar = argument.partition(" ")
+            parser.add_argument(flag, metavar=metavar or None, help=text)
     with suppress(OSError):  # as argparse: help into a closed stdout is no error
-        print("\n\n".join(filter(None, blocks)))
+        print(parser.format_help(), end="")
     raise SystemExit(0)
 
 

@@ -43,10 +43,11 @@ DEEP = (
         tuple(t for t in table_types(24) if t.rank > 16),
     ),
     (test_invariants, "test_winner_certificates_match_every_pair_evaluation", RANKS[:1], ()),
-    # not at 3x: its frac_det oracle and reference elimination are O(n^3) (2.8 and
-    # 0.6 s of the 3.2-3.3 s it takes a type at 128), so about 11 s a type at 192,
-    # and four of those would take the rank-192 group (16.7-18.4 s) past its CI
-    # step's timeout of 60 s
+    # not at 3x: its cost is the O(n^3) Bareiss reference elimination, 0.63-0.75 s
+    # of the 1.3-1.5 s it takes a type at 128 (frac_det 0.06-0.07 s), so about
+    # 4-5 s a type at 192 by n^3 scaling; four of those would take the rank-192
+    # group (16.7-18.4 s) to about 35 s, past its CI step's timeout of 60 s on
+    # a machine twice as slow
     (test_rootsys, "test_inverse_cartan_identity", RANKS[:1], ()),
 )
 

@@ -260,6 +260,13 @@ MUTANTS = (
         "",
         (CLI + "test_argparse_errors_of_normal_size_stay_whole",),
     ),
+    Mutant(
+        "the top-level usage loses its ...",
+        "src/minorb/cli.py",
+        '        usage.add_argument("arguments", nargs=argparse.REMAINDER)\n',
+        "",
+        (CLI + "test_help_text[minorb]", CLI + "test_help_at_every_width[minorb]"),
+    ),
 )
 
 

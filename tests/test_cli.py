@@ -8,6 +8,7 @@ import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
+from hashlib import sha256
 from pathlib import Path
 
 import pytest
@@ -268,15 +269,14 @@ def test_dimensions_past_the_int_str_digit_limit(capsys):
     weight = ",".join(["11"] * 64)
     expected = str(Decimal(dim_irrep(parse_type("D64"), (11,) * 64)))
     assert len(expected) == 4352
-    limit = getattr(sys, "get_int_max_str_digits", lambda: None)
-    before = limit()
+    before = sys.get_int_max_str_digits()
     assert run(capsys, "dim", "D64", weight) == (0, expected + "\n", "")
     code, out, _ = run(capsys, "minorbit", "D64", weight)
     assert code == 0 and f"\ndim module: {expected}\n" in out
     code, out, _ = run(capsys, "minorbit", "D64", weight, "--json")
     payload = json.loads(out, parse_int=Decimal)["payload"]
     assert code == 0 and str(payload["dim_module"]) == expected
-    assert limit() == before
+    assert sys.get_int_max_str_digits() == before
 
 
 def test_weight_entry_ceiling(capsys):
@@ -498,8 +498,13 @@ def test_lists_starting_with_a_minus_reach_the_library_checks(capsys, argv, mess
 
 
 # `minorb --help` and every subcommand's, at 80 columns, taken while argparse
-# still read the integer arguments itself; cli._help keeps argparse's layout.
+# still read the integer arguments itself; cli._help lays the help out through
+# argparse parsers built from _COMMANDS.
 HELP = json.loads((Path(__file__).parent / "help.json").read_text())
+# per help text, one sha256 over its output at COLUMNS 1, 2, ..., 160 in turn,
+# taken from the layout that cli._help wrote by hand before argparse's formatter
+# laid it out: every branch of the usage wrapping, under every Python
+HELP_PINS = json.loads((Path(__file__).parent / "help_sha256.json").read_text())
 
 
 def test_help_covers_every_subcommand():
@@ -513,6 +518,19 @@ def test_help_text(capsys, monkeypatch, command):
         main(["--help"] if command == "minorb" else [command, "--help"])
     assert stop.value.code == 0
     assert capsys.readouterr() == (HELP[command], "")
+
+
+@pytest.mark.parametrize("command", HELP_PINS)
+def test_help_at_every_width(capsys, monkeypatch, command):
+    digest = sha256()
+    for columns in range(1, 161):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        with pytest.raises(SystemExit) as stop:
+            main(["--help"] if command == "minorb" else [command, "--help"])
+        out, err = capsys.readouterr()
+        assert stop.value.code == 0 and err == "", columns
+        digest.update(out.encode())
+    assert digest.hexdigest() == HELP_PINS[command]
 
 
 # modules that only the help, or an argparse parser, would load

@@ -101,8 +101,9 @@ def frac_det(m):
             det = -det
         det *= a[col][col]
         for r in range(col + 1, n):
-            f = a[r][col] / a[col][col]
-            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+            if a[r][col] != 0:
+                f = a[r][col] / a[col][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return det
 
 
