@@ -13,18 +13,22 @@ from minorb.rootsys import (
     inverse_cartan,
     symmetrizers,
     positive_roots,
-    highest_root,
+    highest_root,  # no src/ caller: theta; bench/child.py primes it, bench/spans.py traces it
     dim_simple,
-    root_to_weight,
+    root_to_weight,  # no src/ caller: _root_to_weight on unchecked input; bench/spans.py traces it
     subdiagram_components,
     table_types,
 )
-from minorb.repdim import dim_irrep, dim_irrep_product, dual_weight
+from minorb.repdim import (
+    dim_irrep,
+    dim_irrep_product,  # no src/ caller: Weyl dimension over a Levi; bench/spans.py traces it
+    dual_weight,
+)
 from minorb.parabolic import (
     LeviData,
     levi_data,
     dim_u,
-    parabolic_of_weight,
+    parabolic_of_weight,  # no src/ caller: P_lambda as LeviData; bench/spans.py traces it
     dim_min_orbit,
     orbit_type,
     closure_is_smooth,
@@ -35,7 +39,7 @@ from minorb.grading import (
     BranchSummand,
     VAlphaData,
     grade_adjoint,
-    dim_v_alpha,
+    dim_v_alpha,  # no src/ caller: dim V(alpha_i) with no Levi named; bench/spans.py traces it
     lowest_weight_of_v_alpha,
     branch_adjoint,
 )

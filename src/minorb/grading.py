@@ -21,16 +21,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .parabolic import LeviData, _u_mask, levi_data, support_masks
-from .repdim import Weight
-from .rootsys import (
-    Component,
-    SimpleType,
-    _components,
-    _root_to_weight,
-    checked_nodes,
-    positive_roots,
-    root_columns,
-)
+from .rootsys import Component, SimpleType, Vector, _levi, _root_to_weight, checked_nodes
+from .rootsys import positive_roots, root_columns
 
 
 class GradingReport(NamedTuple):
@@ -46,15 +38,15 @@ class VAlphaData(NamedTuple):
     typ: SimpleType
     node: int
     levi: LeviData
-    lowest: tuple[Weight, ...]
-    highest: tuple[Weight, ...]
+    lowest: tuple[Vector, ...]
+    highest: tuple[Vector, ...]
     dim: int
 
 
 class BranchSummand(NamedTuple):
     """One irreducible summand, a highest weight per kept component."""
 
-    weights: tuple[Weight, ...]
+    weights: tuple[Vector, ...]
     dim: int
     torus: bool = False
 
@@ -82,7 +74,7 @@ def dim_v_alpha(typ: SimpleType, node: int) -> int:
     return root_columns(typ)[checked_nodes(typ, [node])[0] - 1].count(1)
 
 
-def _restricted(typ: SimpleType, comps: tuple[Component, ...], k: int) -> tuple[Weight, ...]:
+def _restricted(typ: SimpleType, comps: tuple[Component, ...], k: int) -> tuple[Vector, ...]:
     """Positive root k in fundamental weights, restricted to each component."""
     m = _root_to_weight(typ, positive_roots(typ)[k])
     return tuple(tuple(m[orig - 1] for orig in comp.nodes) for comp in comps)
@@ -115,7 +107,7 @@ def branch_adjoint(typ: SimpleType, node: int) -> BranchReport:
     grades are the duals of the positive ones and are omitted.
     """
     (node,) = checked_nodes(typ, [node])
-    comps = _components(typ, ((1 << typ.rank) - 1) ^ (1 << (node - 1)))
+    comps = _levi(typ, (node,))
     col = root_columns(typ)[node - 1]
     off_node = ~support_masks(typ)[node - 1]
 

@@ -37,7 +37,7 @@ from typing import NamedTuple, Union
 
 from .parabolic import _natural_nodes, dim_u, support_masks
 from .rootsys import SimpleType, canonicalize, checked_nodes, checked_rank, dim_simple
-from .rootsys import _components, _neighbours, root_columns
+from .rootsys import _levi, _neighbours, root_columns
 
 
 class Torus(NamedTuple("Torus", [("rank", int)])):
@@ -172,14 +172,12 @@ def sukhanov_refined(typ: SimpleType, node: int) -> BoundCertificate:
 
     It reads dim u of the maximal parabolic at the node (a popcount of its
     support mask), dim V(alpha_i) (a count on its root column) and the
-    types of the Levi components, named from the mask of every other node
-    by the core of subdiagram_components; no LeviData is built.  The node
-    is in typ's own numbering: node 1 of D3 is its centre, not A3's end.
+    Levi's component types from rootsys._levi, with no LeviData.  The node is
+    in typ's own numbering: node 1 of D3 is its centre, not A3's end.
     """
     (node,) = checked_nodes(typ, [node])
     head, in_module = _head_and_module(typ, node)
-    others = ((1 << typ.rank) - 1) ^ (1 << (node - 1))  # every other node, as a mask
-    in_levi = r_of_levi(c.typ for c in _components(typ, others))
+    in_levi = r_of_levi(c.typ for c in _levi(typ, (node,)))
     value = head + min(in_module, in_levi)
     detail = (
         f"(dim u + 1) + min(dim V(alpha_{node}), r(Levi)) = "
@@ -193,8 +191,7 @@ def _witness(typ: SimpleType, cert: BoundCertificate) -> Witness:
     unless a refined cert's value used dim V(alpha_i) < r(L')."""
     if cert.source == "reductive":
         return compute_r(typ).witness
-    others = ((1 << typ.rank) - 1) ^ sum(1 << (i - 1) for i in cert.nodes)
-    factors = [c.typ for c in _components(typ, others)]
+    factors = [c.typ for c in _levi(typ, cert.nodes)]
     if cert.source == "refined":
         k = min(range(len(factors)), key=lambda j: compute_r(factors[j]).r)
         factors[k : k + 1] = compute_r(factors[k]).witness.factors

@@ -23,10 +23,10 @@ from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
 
-from .repdim import Weight
 from .rootsys import (
     Component,
     SimpleType,
+    Vector,
     checked_nodes,
     checked_weight,
     dim_simple,
@@ -96,14 +96,14 @@ def levi_data(typ: SimpleType, removed: Iterable[int]) -> LeviData:
     return LeviData(typ, rem, kept, components, dim_ss, _u_mask(typ, rem).bit_count())
 
 
-def _checked_nonzero_dominant(typ: SimpleType, weight: Iterable[int]) -> Weight:
+def _checked_nonzero_dominant(typ: SimpleType, weight: Iterable[int]) -> Vector:
     w = checked_weight(typ, weight)
     if not any(w):
         raise ValueError("weight must be nonzero")
     return w
 
 
-def _support(w: Weight) -> tuple[int, ...]:
+def _support(w: Vector) -> tuple[int, ...]:
     return tuple(i + 1 for i, c in enumerate(w) if c)
 
 
@@ -117,7 +117,7 @@ def dim_min_orbit(typ: SimpleType, weight: Iterable[int]) -> int:
     return _u_mask(typ, _support(_checked_nonzero_dominant(typ, weight))).bit_count() + 1
 
 
-def orbit_type(typ: SimpleType, weight: Iterable[int]) -> tuple[Weight, int]:
+def orbit_type(typ: SimpleType, weight: Iterable[int]) -> tuple[Vector, int]:
     """Primitive weight and multiplier: lambda = k * lambda_0 with gcd one.
 
     All weights k * lambda_0 share the same highest weight orbit shape;

@@ -32,9 +32,7 @@ from functools import lru_cache
 from itertools import compress
 from math import isqrt, prod
 
-from .rootsys import SimpleType, _packed_counts, _value_multiset, checked_weight, symmetrizers
-
-Weight = tuple[int, ...]
+from .rootsys import SimpleType, Vector, _packed_counts, _value_multiset, checked_weight, symmetrizers
 
 
 def dim_irrep(typ: SimpleType, weight: Iterable[int]) -> int:
@@ -102,7 +100,7 @@ def dim_irrep_product(parts: Iterable[tuple[SimpleType, Iterable[int]]]) -> int:
     return prod(dim_irrep(typ, weight) for typ, weight in parts)
 
 
-def dual_weight(typ: SimpleType, weight: Iterable[int]) -> Weight:
+def dual_weight(typ: SimpleType, weight: Iterable[int]) -> Vector:
     """Highest weight of the dual module.
 
     The dual of the irreducible with highest weight w has highest weight

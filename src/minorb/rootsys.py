@@ -441,7 +441,7 @@ def inverse_cartan(typ: SimpleType) -> tuple[Matrix, int]:
     n, a = typ.rank, cartan_matrix(typ)
     branch, out = [{} for _ in range(n)], [[0] * n for _ in range(n)]
     for u in range(n):
-        for c in _components(typ, ((1 << n) - 1) ^ (1 << u)):
+        for c in _levi(typ, (u + 1,)):
             branch[u][next(w - 1 for w in c.nodes if a[u][w - 1])] = _det(c.typ)
         out[u][u] = reduce(mul, branch[u].values(), 1)
     for j in range(n):
@@ -485,6 +485,11 @@ def subdiagram_components(typ: SimpleType, kept: Iterable[int]) -> tuple[Compone
     each connected mask is named once per type by _component.
     """
     return _components(typ, sum(1 << (u - 1) for u in checked_nodes(typ, kept)))
+
+
+def _levi(typ: SimpleType, removed: Iterable[int]) -> tuple[Component, ...]:
+    """The components of typ's diagram less the removed nodes, 1-based and already checked."""
+    return _components(typ, ((1 << typ.rank) - 1) ^ sum(1 << (i - 1) for i in removed))
 
 
 def _components(typ: SimpleType, mask: int) -> tuple[Component, ...]:

@@ -43,11 +43,11 @@ DEEP = (
         tuple(t for t in table_types(24) if t.rank > 16),
     ),
     (test_invariants, "test_winner_certificates_match_every_pair_evaluation", RANKS[:1], ()),
-    # not at 3x: its cost is the O(n^3) Bareiss reference elimination, 0.63-0.75 s
-    # of the 1.3-1.5 s it takes a type at 128 (frac_det 0.06-0.07 s), so about
-    # 4-5 s a type at 192 by n^3 scaling; four of those would take the rank-192
-    # group (16.7-18.4 s) to about 35 s, past its CI step's timeout of 60 s on
-    # a machine twice as slow
+    # not at 3x: its cost is the O(n^3) Bareiss reference elimination, 0.56-0.66 s
+    # of the 0.7-1.0 s it takes a type at 128 (frac_det 0.06-0.09 s, the sparse
+    # C * X product 0.01-0.02 s), so about 2-2.5 s a type at 192 by n^3 scaling;
+    # four of those would take the rank-192 group (16.7-18.4 s) to about 27 s,
+    # about 55 s on a machine twice as slow, against its CI step's timeout of 60 s
     (test_rootsys, "test_inverse_cartan_identity", RANKS[:1], ()),
 )
 

@@ -42,6 +42,7 @@ class Mutant(NamedTuple):
 
 ROOTS = "tests/test_rootsys.py::"
 REPDIM = "tests/test_repdim.py::"
+GRADING = "tests/test_grading.py::"
 PARABOLIC = "tests/test_parabolic.py::"
 INVARIANTS = "tests/test_invariants.py::"
 CLI = "tests/test_cli.py::"
@@ -122,6 +123,13 @@ MUTANTS = (
         "-a[v][u]",
         "-a[u][v]",
         (ROOTS + "test_inverse_cartan_identity[B3]", ROOTS + "test_inverse_cartan_fingerprint[B3]"),
+    ),
+    Mutant(
+        "_levi removes the node after each given one",
+        "src/minorb/rootsys.py",
+        "sum(1 << (i - 1) for i in removed)",
+        "sum(1 << i for i in removed)",
+        (GRADING + "test_branch_components_match_whole_matrices[B3]", ROOTS + "test_inverse_cartan_identity[B3]"),
     ),
     Mutant(
         "dim_irrep subtracts no rho counts",

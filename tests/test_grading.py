@@ -191,17 +191,17 @@ def test_branch_top_weyl_dimension_equals_root_count(typ):
     "typ", table_types(24) + [SimpleType(f, MAX_RANK) for f in "ABCD"], ids=str
 )
 def test_branch_components_match_whole_matrices(typ, monkeypatch):
-    """branch_adjoint names its Levi components from the bit mask of every
-    other node; they are the components the whole-matrix route names.  Its
-    grade-zero summands, read off the ambient roots, are the ones built
-    from each component's own roots."""
+    """branch_adjoint names its Levi components through rootsys._levi; they
+    are the components the whole-matrix route names.  Its grade-zero
+    summands, read off the ambient roots, are the ones built from each
+    component's own roots."""
     named = []
 
-    def spy(t, mask):
-        named.append(rootsys._components(t, mask))
+    def spy(t, removed):
+        named.append(rootsys._levi(t, removed))
         return named[-1]
 
-    monkeypatch.setattr(grading, "_components", spy)
+    monkeypatch.setattr(grading, "_levi", spy)
     for node in range(1, typ.rank + 1):
         rep = branch_adjoint(typ, node)
         want = components_by_matrix(typ, [i for i in range(1, typ.rank + 1) if i != node])
