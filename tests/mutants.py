@@ -45,6 +45,7 @@ REPDIM = "tests/test_repdim.py::"
 GRADING = "tests/test_grading.py::"
 PARABOLIC = "tests/test_parabolic.py::"
 INVARIANTS = "tests/test_invariants.py::"
+ACCEPTANCE = "tests/test_acceptance.py::"
 CLI = "tests/test_cli.py::"
 DEEP = "tests/deep.py::test_deep"
 
@@ -181,6 +182,20 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "dim_irrep's prime-power route returns without checking the prime-power sums",
+        "src/minorb/repdim.py",
+        "        if not sums or min(sums) >= 0:\n",
+        "        if True:\n",
+        (REPDIM + "test_weyl_product_guards_raise",),
+    ),
+    Mutant(
+        "dim_irrep's listed route returns without checking the remainder",
+        "src/minorb/repdim.py",
+        "        if not r:\n",
+        "        if True:\n",
+        (REPDIM + "test_weyl_product_guards_raise",),
+    ),
+    Mutant(
         "__all__ keeps the submodules",
         "src/minorb/__init__.py",
         'name[0] == "_" or isinstance(value, _Module)',
@@ -233,6 +248,13 @@ MUTANTS = (
             INVARIANTS + "test_winner_certificates_match_every_pair_evaluation",
             INVARIANTS + "test_d_certificates",
         ),
+    ),
+    Mutant(
+        "D_n's r witness is D_(n-1), not B_(n-1)",
+        "src/minorb/invariants.py",
+        '        return (SimpleType("B", n - 1),)\n',
+        '        return (SimpleType("D", n - 1),)\n',
+        (INVARIANTS + "test_r_table", ACCEPTANCE + "test_criterion_2_r_table"),
     ),
     Mutant(
         "an argument that starts with a minus and a digit is an option",

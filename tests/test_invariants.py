@@ -53,86 +53,22 @@ from util import (
     grade_counts,
     hilbert_degree,
     m_by_hilbert,
+    published,
 )
-
-EXCEPTIONAL_ROWS = {
-    # type: (m, argmin, r, d)
-    "E6": (17, (1, 6), 26, 26),
-    "E7": (28, (7,), 54, 45),
-    "E8": (58, (8,), 112, 86),
-    "F4": (16, (1, 4), 16, 16),
-    "G2": (6, (1, 2), 6, 6),
-}
-
-
-def expected_m(typ):
-    n = typ.rank
-    if typ.family == "A":
-        return n + 1
-    if typ.family in "BC":
-        return 2 * n
-    if typ.family == "D":
-        return 2 * n - 1
-    return EXCEPTIONAL_ROWS[str(typ)][0]
-
-
-def expected_argmin(typ):
-    n = typ.rank
-    if typ.family == "A":
-        return (1,) if n == 1 else (1, n)
-    if typ.family == "B":
-        return (1, 2) if n == 2 else (1,)
-    if typ.family in "CD":
-        return (1, 3, 4) if str(typ) == "D4" else (1,)
-    return EXCEPTIONAL_ROWS[str(typ)][1]
-
-
-def expected_r(typ):
-    n = typ.rank
-    if typ.family == "A":
-        return {1: 2, 2: 4, 3: 5}.get(n, 2 * n)
-    if typ.family == "B":
-        return 4 if n == 2 else 2 * n
-    if typ.family == "C":
-        return 4 * n - 4
-    if typ.family == "D":
-        return 2 * n - 1
-    return EXCEPTIONAL_ROWS[str(typ)][2]
-
-
-def expected_d(typ):
-    if typ.family == "E":
-        return EXCEPTIONAL_ROWS[str(typ)][3]
-    return expected_r(typ)
-
-
-def expected_r_factors(typ):
-    n = typ.rank
-    return {
-        "A": ["T1"] if n == 1 else ["A1", "T1"] if n == 2
-        else ["B2"] if n == 3 else [f"A{n - 1}", "T1"],
-        "B": ["A1", "A1"] if n == 2 else ["A3"] if n == 3 else [f"D{n}"],
-        "C": ["B2", "A1"] if n == 3 else [f"C{n - 1}", "A1"],
-        "D": [f"B{n - 1}"],
-        "E": {6: ["F4"], 7: ["E6", "T1"], 8: ["E7", "A1"]}.get(n),
-        "F": ["B4"],
-        "G": ["A2"],
-    }[typ.family]
-
 
 @pytest.mark.parametrize("typ", ALL_TYPES, ids=str)
 def test_m_table(typ):
     m, p, argmin = compute_m(typ)
-    assert m == expected_m(typ)
+    assert m == published(typ).m
     assert p == m - 1
-    assert argmin == expected_argmin(typ)
+    assert argmin == published(typ).argmin
 
 
 @pytest.mark.parametrize("typ", ALL_TYPES, ids=str)
 def test_r_table(typ):
     r, witness = compute_r(typ)
-    assert r == expected_r(typ)
-    assert [str(f) for f in witness.factors] == expected_r_factors(typ)
+    assert r == published(typ).r
+    assert tuple(map(str, witness.factors)) == published(typ).factors
     assert witness.dim_h + r == full_report(typ).dim
 
 
@@ -150,14 +86,13 @@ def test_r_witness_reads_no_ambient_root_columns():
 
 @pytest.mark.parametrize("typ", [t for t in ALL_TYPES if t.family == "C"], ids=str)
 def test_r_witness_dimension_symplectic(typ):
-    n = typ.rank
-    assert compute_r(typ).witness.dim_h == (n - 1) * (2 * n - 1) + 3
+    assert compute_r(typ).witness.dim_h == published(typ).dim_h
 
 
 @pytest.mark.parametrize("typ", ALL_TYPES, ids=str)
 def test_d_table(typ):
     result = compute_d(typ)
-    assert result.d == expected_d(typ)
+    assert result.d == published(typ).d
     assert all(c.value == result.d for c in result.certificates)
     assert result.witness.codim == result.d
 

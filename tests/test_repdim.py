@@ -28,12 +28,7 @@ from minorb import repdim
 from minorb.repdim import _prime_powers, _rho_counts
 from minorb.rootsys import _packed_counts, _value_multiset
 
-from util import ALL_TYPES, MAX_MODULES_BELOW, SMALL_TYPES, modules_below, weyl_vector
-
-
-def fund(typ, i):
-    """Fundamental weight omega_i as a coordinate tuple."""
-    return tuple(int(k == i) for k in range(1, typ.rank + 1))
+from util import ALL_TYPES, MAX_MODULES_BELOW, SMALL_TYPES, fund, modules_below, published, weyl_vector
 
 
 # Fundamental-module dimensions from the published case analysis.
@@ -84,11 +79,9 @@ def test_adjoint_dimension(typ):
 
 @pytest.mark.parametrize("typ", ALL_TYPES, ids=str)
 def test_standard_module_closed_form(typ):
-    n = typ.rank
-    expected = {"A": n + 1, "B": 2 * n + 1, "C": 2 * n, "D": 2 * n}.get(typ.family)
-    if expected is None:
-        return
-    assert dim_irrep(typ, fund(typ, 1)) == expected
+    """On A-D omega_1 is the standard module, the m table's first module."""
+    if typ.family in "ABCD":
+        assert dim_irrep(typ, fund(typ, 1)) == published(typ).dims[0]
 
 
 @pytest.mark.parametrize("typ", [t for t in ALL_TYPES if t.family == "A"], ids=str)
@@ -269,6 +262,19 @@ def test_dimension_at_the_weight_ceiling_stays_small():
         tracemalloc.stop()
     assert peak < 4 * 2**20
     assert dim == plain_weyl_product(typ, w)
+
+
+def test_weyl_product_guards_raise(monkeypatch):
+    """A rho count with one extra value 3, which no A2 weight's pairings
+    cancel, leaves a Weyl product that is not an integer.  (1, 1) takes the
+    prime-power route, where S(3) = -1, and (10, 10) the listed route past
+    the cutoff, where the division leaves a remainder; both must raise."""
+    typ = SimpleType("A", 2)
+    monkeypatch.setattr(repdim, "_rho_counts", lambda t: Counter({1: 2, 2: 1, 3: 1}))
+    with pytest.raises(RuntimeError, match=r"^Weyl product for A2 \(1, 1\) is not an integer$"):
+        dim_irrep(typ, (1, 1))
+    with pytest.raises(RuntimeError, match=r"^Weyl product for A2 \(10, 10\) is not an integer$"):
+        dim_irrep(typ, (10, 10))
 
 
 def test_product_dimensions():

@@ -39,6 +39,7 @@ from util import (
     ALL_TYPES,
     MID_TYPES,
     components_by_matrix,
+    coxeter_number,
     dim_closed_form,
     inverse_cartan_by_elimination,
     weight_by_matrix,
@@ -272,9 +273,7 @@ def test_positive_roots_match_reflection_closure(typ):
     "typ", [SimpleType(f, n) for f in "ABCD" for n in (40, 56)], ids=str
 )
 def test_positive_root_count_is_rank_times_half_coxeter_number(typ):
-    n = typ.rank
-    coxeter = {"A": n + 1, "B": 2 * n, "C": 2 * n, "D": 2 * n - 2}[typ.family]
-    assert 2 * len(positive_roots(typ)) == n * coxeter
+    assert 2 * len(positive_roots(typ)) == typ.rank * coxeter_number(typ)
 
 
 @pytest.mark.parametrize(
@@ -310,8 +309,7 @@ def test_root_core_at_the_rank_ceiling(family):
     roots = positive_roots(typ)
     keys = [(sum(r), r) for r in roots]
     assert all(x < y for x, y in zip(keys, keys[1:]))
-    coxeter = {"A": n + 1, "B": 2 * n, "C": 2 * n, "D": 2 * n - 2}[family]
-    assert 2 * len(roots) == n * coxeter
+    assert 2 * len(roots) == n * coxeter_number(typ)
     assert roots[-1] == HIGHEST_ROOT[family](n)
 
 

@@ -1,9 +1,11 @@
 """Shared fixtures-by-import for the test suite: type inventories, closed forms,
-and the second routes that the tests compare with the library."""
+the paper's published rows (published, the one place that states them), and
+the second routes that the tests compare with the library."""
 
 from collections import Counter
 from itertools import combinations, count, permutations
 from math import comb
+from typing import NamedTuple
 
 from minorb import (
     BoundCertificate,
@@ -37,18 +39,72 @@ SMALL_TYPES = [t for t in ALL_TYPES if t.rank <= 6]
 MID_TYPES = [t for t in ALL_TYPES if t.rank <= 8]
 
 
+def coxeter_number(typ: SimpleType) -> int:
+    """The Coxeter number h (Bourbaki, Lie Groups and Lie Algebras, Ch. VI 1.11)."""
+    n = typ.rank
+    if typ.family in "ABCD":
+        return {"A": n + 1, "B": 2 * n, "C": 2 * n, "D": 2 * n - 2}[typ.family]
+    return {"E6": 12, "E7": 18, "E8": 30, "F4": 12, "G2": 6}[str(typ)]
+
+
 def dim_closed_form(typ: SimpleType) -> int:
-    """Dimension of the algebra from the classical closed forms, no root data."""
+    """Dimension of the algebra as rank * (h + 1), no root data."""
+    return typ.rank * (coxeter_number(typ) + 1)
+
+
+def fund(typ: SimpleType, i: int) -> tuple[int, ...]:
+    """Fundamental weight omega_i as a coordinate tuple."""
+    return tuple(int(k == i) for k in range(1, typ.rank + 1))
+
+
+class Published(NamedTuple):
+    """One type's row of the paper's tables 2-5.
+
+    m with its argmin nodes and dim V(omega_i) at each of them; r with the
+    factors of its witness H and dim H; and d.
+    """
+
+    m: int
+    argmin: tuple[int, ...]
+    dims: tuple[int, ...]
+    r: int
+    factors: tuple[str, ...]
+    dim_h: int
+    d: int
+
+
+EXCEPTIONAL_PUBLISHED = {
+    "E6": Published(17, (1, 6), (27, 27), 26, ("F4",), 52, 26),
+    "E7": Published(28, (7,), (56,), 54, ("E6", "T1"), 79, 45),
+    "E8": Published(58, (8,), (248,), 112, ("E7", "A1"), 136, 86),
+    "F4": Published(16, (1, 4), (52, 26), 16, ("B4",), 36, 16),
+    "G2": Published(6, (1, 2), (7, 14), 6, ("A2",), 8, 6),
+}
+
+
+def published(typ: SimpleType) -> Published:
+    """The published row of a canonical type: closed forms on A-D, the table on E-G."""
     n = typ.rank
     if typ.family == "A":
-        return n * (n + 2)
-    if typ.family in ("B", "C"):
-        return n * (2 * n + 1)
+        argmin = (1,) if n == 1 else (1, n)
+        if n == 3:
+            return Published(4, argmin, (4, 4), 5, ("B2",), 10, 5)
+        factors = ("T1",) if n == 1 else (f"A{n - 1}", "T1")
+        return Published(n + 1, argmin, (n + 1,) * len(argmin), 2 * n, factors, n * n, 2 * n)
+    if typ.family == "B":
+        if n == 2:
+            return Published(4, (1, 2), (5, 4), 4, ("A1", "A1"), 6, 4)
+        factors = ("A3",) if n == 3 else (f"D{n}",)
+        return Published(2 * n, (1,), (2 * n + 1,), 2 * n, factors, n * (2 * n - 1), 2 * n)
+    if typ.family == "C":
+        factors = ("B2", "A1") if n == 3 else (f"C{n - 1}", "A1")
+        r = 4 * n - 4
+        return Published(2 * n, (1,), (2 * n,), r, factors, (n - 1) * (2 * n - 1) + 3, r)
     if typ.family == "D":
-        return n * (2 * n - 1)
-    return {("E", 6): 78, ("E", 7): 133, ("E", 8): 248, ("F", 4): 52, ("G", 2): 14}[
-        (typ.family, n)
-    ]
+        m, argmin = (7, (1, 3, 4)) if n == 4 else (2 * n - 1, (1,))
+        r = 2 * n - 1
+        return Published(m, argmin, (2 * n,) * len(argmin), r, (f"B{n - 1}",), (n - 1) * r, r)
+    return EXCEPTIONAL_PUBLISHED[str(typ)]
 
 
 def weyl_vector(typ: SimpleType) -> tuple[int, ...]:
